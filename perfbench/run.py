@@ -20,6 +20,10 @@ run, across runs of the same (workload, seed, source) -- kept in
 ``.perfbench/digests.json`` -- and between timed and traced runs; the
 sharded workload's digest must be equal at procs=1 and procs=2; after
 the drain window every offered operation must be completed or failed.
+
+Host seconds are rescaled to a reference host by calibration slices
+interleaved with the simulation (``hostspeed.Meter``); the raw figures
+are in the record line.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ HERE = Path(__file__).resolve().parent
 STATE = ROOT / ".perfbench"
 
 #: Fresh-process set-up measurements per timed run (median reported).
-SETUP_PROBES = 9
+SETUP_PROBES = 5
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -143,16 +147,22 @@ def check_digests(entries: Dict[str, str]) -> List[str]:
 # ----------------------------------------------------------------------
 
 def setup_probe(workload: str, seed: int, t0: float) -> None:
-    """Child side: imports plus world build plus first event."""
+    """Child side: imports plus world build plus first event.
+
+    The calibration runs in the child right after, on the core that
+    did the set-up.
+    """
     import workloads
 
     workloads.setup_world(workloads.WORKLOADS[workload], seed)
-    print(f"perfbench-setup {time.perf_counter() - t0!r}", flush=True)
+    elapsed = time.perf_counter() - t0
+    print(f"perfbench-setup {elapsed!r} {hostspeed.calibration_s()!r}",
+          flush=True)
 
 
 def measure_setup(workload: str, seed: int) -> Tuple[List[float], List[float]]:
     """Set-up times, each in a fresh interpreter, and calibrations."""
-    times, calibrations = [], [hostspeed.calibration_s()]
+    times, calibrations = [], []
     for _ in range(SETUP_PROBES):
         t0 = time.perf_counter()
         done = subprocess.run(
@@ -163,8 +173,9 @@ def measure_setup(workload: str, seed: int) -> Tuple[List[float], List[float]]:
                  if line.startswith("perfbench-setup ")]
         if done.returncode != 0 or not lines:
             raise RuntimeError(f"set-up probe failed: {done.stderr.strip()}")
-        times.append(float(lines[-1].split()[1]))
-        calibrations.append(hostspeed.calibration_s())
+        _, elapsed, calibration = lines[-1].split()
+        times.append(float(elapsed))
+        calibrations.append(float(calibration))
     return times, calibrations
 
 
@@ -187,8 +198,8 @@ def timed_run(wl, seed: int, seconds: float, source: str) -> dict:
     attempted = 0
     failed_runs = set()  # (pass, universe) of every run that failed a check
     first: List = []
-    rates: List[float] = []
-    calibrations: List[float] = []
+    walls: List[float] = []
+    meter = hostspeed.Meter()
     worker_rss: List[int] = []
     station_s = wl.foreground_stations * (wl.duration_s + wl.drain_s)
     started = time.perf_counter()
@@ -198,10 +209,8 @@ def timed_run(wl, seed: int, seconds: float, source: str) -> dict:
     while passes == 0 or (time.perf_counter() - started) * (passes + 1) \
             <= seconds * passes:
         for index in range(wl.universes):
-            calibrations.append(hostspeed.calibration_s())
-            universe = workloads.run_universe(wl, seed, index)
+            universe = workloads.run_universe(wl, seed, index, meter=meter)
             gc.collect()  # no world outlives its universe: steadier peaks
-            calibrations.append(hostspeed.calibration_s())
             attempted += 1
             bad = list(universe.violations)
             if passes and universe.digest() != first[index].digest():
@@ -211,26 +220,27 @@ def timed_run(wl, seed: int, seconds: float, source: str) -> dict:
             if bad:
                 failed_runs.add((passes, index))
                 problems.extend(bad)
-            rates.append(station_s / universe.wall_s)
+            walls.append(universe.wall_s)
             for position, rss in enumerate(universe.worker_rss_kb):
                 if position < len(worker_rss):
                     worker_rss[position] = max(worker_rss[position], rss)
                 else:
                     worker_rss.append(rss)
         passes += 1
-    # The median raw rate per reference second: the run's median
-    # calibration cancels host-speed drift between runs without adding
-    # the jitter of single calibrations to single universes.
-    calibration = statistics.median(calibrations)
-    rate = statistics.median(rates) / hostspeed.normalised(1.0, calibration)
+    # All station-seconds over all host seconds, per reference second:
+    # the slices sampled the host in the same moments as the universes.
+    raw_rate = station_s * len(walls) / sum(walls)
+    calibration = meter.calibration_s()
+    rate = raw_rate / hostspeed.normalised(1.0, calibration)
     digests = {digest_key(wl, seed, index, source): u.digest()
                for index, u in enumerate(first)}
-    if wl.kind == "sharded":
-        inline = workloads.run_universe(wl, seed, 0, procs=1)
+    if wl.check_procs:
+        other = workloads.run_universe(wl, seed, 0, procs=wl.check_procs)
         attempted += 1
-        if inline.digest() != first[0].digest() or inline.violations:
-            failed_runs.add("procs=1")
-            problems.append("procs=1 and procs=2 digests differ")
+        if other.digest() != first[0].digest() or other.violations:
+            failed_runs.add(f"procs={wl.check_procs}")
+            problems.append(f"procs={wl.procs} and procs={wl.check_procs} "
+                            "digests differ")
     for key in check_digests(digests):
         failed_runs.add((0, int(key.split("/")[2][1:])))
         problems.append(f"digest of {key} differs from an earlier run")
@@ -246,8 +256,8 @@ def timed_run(wl, seed: int, seconds: float, source: str) -> dict:
     own_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     offered = ops.total("offered")
     metrics = {
-        "setup_s": hostspeed.normalised(statistics.median(raw_setup),
-                                        statistics.median(setup_calibrations)),
+        "setup_s": statistics.median(map(hostspeed.normalised, raw_setup,
+                                         setup_calibrations)),
         "station_sim_s_per_wall_s": rate,
         "peak_rss_mb": (own_kb + sum(worker_rss)) / 1024.0,
         "ping_rtt_p50_s": p50,
@@ -258,7 +268,7 @@ def timed_run(wl, seed: int, seconds: float, source: str) -> dict:
     }
     counts = {
         "setup_s": len(raw_setup),
-        "station_sim_s_per_wall_s": len(rates),
+        "station_sim_s_per_wall_s": len(walls),
         "peak_rss_mb": 1 + len(worker_rss),
         "ping_rtt_p50_s": len(rtts_s),
         "ping_rtt_p90_s": len(rtts_s),
@@ -277,9 +287,12 @@ def timed_run(wl, seed: int, seconds: float, source: str) -> dict:
         "problems": problems,
         "extra": {"ping_rtt_p90_percentile_used": q90,
                   "passes": passes,
-                  "raw_station_sim_s_per_wall_s": statistics.median(rates),
+                  "raw_station_sim_s_per_wall_s": raw_rate,
                   "raw_setup_s": statistics.median(raw_setup),
                   "calibration_s": calibration,
+                  "calibration_slices": meter.slices,
+                  "calibration_share": meter.slice_s / (meter.slice_s
+                                                        + sum(walls)),
                   "ops": ops.as_dict(),
                   "digests": digests},
     }

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import hostspeed
 import run as bench
 import tracing
 import workloads
@@ -105,7 +106,22 @@ def test_every_program_knob_is_pinned():
         for component in wl.knobs.get("mix", ()):
             assert isinstance(component, GeneratorMix)
     assert workloads.WORKLOADS["soak_per_char"].knobs["fidelity"] == "per_char"
-    assert workloads.WORKLOADS["regions_frame"].procs == 2
+    regions = workloads.WORKLOADS["regions_frame"]
+    assert regions.procs == 1 and regions.check_procs == 2
+
+
+def test_metered_run_matches_the_plain_run():
+    """Chunked Simulator.run calls and calibration slices change nothing."""
+    wl = tiny("soak_per_char")
+    meter = hostspeed.Meter()
+    metered = workloads.run_universe(wl, 7, 0, meter=meter)
+    plain = workloads.run_universe(wl, 7, 0)
+    assert metered.digest() == plain.digest()
+    assert meter.slices > 0 and meter.calibration_s() > 0
+    assert 0 < metered.wall_s
+    with pytest.raises(ValueError):
+        workloads.run_universe(tiny("regions_frame"), 7, 0, procs=2,
+                               meter=meter)
 
 
 def test_percentile_keeps_ten_samples_beyond():

@@ -10,6 +10,10 @@ spelled out here, so a new default never silently changes what a
 workload measures.  ``tests/test_perfbench.py`` fails when the program
 grows a scenario or layout knob this file does not pin.
 
+Timed universes run under a :class:`hostspeed.Meter`: ``Simulator.run``
+is patched for the universe so calibration slices interleave with the
+simulation, on the same core, and their time is taken off the wall time.
+
 Samples the program does not keep (per-transfer TCP times, per-ping RTTs
 from shard workers, completed BBS sessions) are recorded from outside
 the program by :mod:`probes`.
@@ -19,13 +23,14 @@ from __future__ import annotations
 
 import hashlib
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.scale.regions import ScaleLayout
 from repro.scale.shard import run_sharded_full
 from repro.sim.clock import MS, SECOND, seconds
+from repro.sim.engine import Simulator
 from repro.workload.scenario import GeneratorMix, Scenario, build_scenario
 
 import probes
@@ -40,10 +45,12 @@ class Workload:
     universes: int
     duration_s: float
     drain_s: float
-    #: Worker processes for the sharded runner (1 = inline).
+    #: Worker processes of the sharded runner in timed runs (1 = inline).
     procs: int
     #: Every Scenario / ScaleLayout field, explicitly.
     knobs: Dict[str, object] = field(default_factory=dict)
+    #: Process count whose merged digest must equal the timed one (0: none).
+    check_procs: int = 0
 
     @property
     def foreground_stations(self) -> int:
@@ -109,11 +116,14 @@ WORKLOADS: Dict[str, Workload] = {
         ),
         # The stream side beside the datagram soak; fault-free, because
         # the chaos gate is red and the storm plan collapses this cell.
+        # A universe stays in one contention regime for its whole length,
+        # so twenty one-hour universes left the simulated work per run
+        # spreading 0.14 from seed to seed; sixty of 20 minutes, 0.056.
         Workload(
             name="tcp_bbs_frame",
             kind="scenario",
-            universes=20,
-            duration_s=3600.0,
+            universes=60,
+            duration_s=1200.0,
             drain_s=300.0,
             procs=1,
             knobs=_scenario_knobs(
@@ -127,13 +137,18 @@ WORKLOADS: Dict[str, Workload] = {
         ),
         # The multi-region headline, at a ping rate below congestion
         # collapse (the layout default of 4/min answers ~5% of pings).
+        # Timed inline: two workers on two cores put the wall time at the
+        # mercy of both cores' states, which no calibration in this
+        # process can follow; every run proves procs=2 gives the same
+        # merged result.
         Workload(
             name="regions_frame",
             kind="sharded",
             universes=6,
             duration_s=300.0,
             drain_s=60.0,
-            procs=2,
+            procs=1,
+            check_procs=2,
             knobs=dict(
                 regions=16,
                 stations_per_region=25,
@@ -196,25 +211,76 @@ class Universe:
                               "ops": self.ops.as_dict()})
 
 
+#: Simulated microseconds per chunk of a metered ``Simulator.run`` call.
+METER_STEP_US = SECOND
+
+
+@contextmanager
+def metered(meter):
+    """Patch ``Simulator.run`` so ``meter`` ticks between chunks of work.
+
+    A call with a horizon runs as back-to-back calls of at most
+    ``METER_STEP_US`` simulated time each, which the engine guarantees
+    compose to the same run (the run digests check it).
+    """
+    if meter is None:
+        yield
+        return
+    original = Simulator.__dict__["run"]
+
+    def run(self, until=None, max_events=None):
+        if until is None or max_events is not None:
+            executed = original(self, until, max_events)
+            meter.tick()
+            return executed
+        executed = 0
+        while True:
+            horizon = min(until, self.now + METER_STEP_US)
+            executed += original(self, until=horizon)
+            meter.tick()
+            if horizon >= until:
+                return executed
+
+    Simulator.run = run
+    try:
+        yield
+    finally:
+        Simulator.run = original
+
+
 def run_universe(wl: Workload, seed: int, universe: int,
-                 procs: int = 0, tracer=None) -> Universe:
-    """Run one universe untraced (or under ``tracer``, a tracing.Tracer)."""
+                 procs: int = 0, tracer=None, meter=None) -> Universe:
+    """Run one universe untraced (or under ``tracer``, a tracing.Tracer).
+
+    With ``meter`` (a hostspeed.Meter) calibration slices interleave
+    with the run; ``wall_s`` excludes them.
+    """
     if wl.kind == "sharded":
-        return _run_sharded(wl, seed, universe, procs or wl.procs, tracer)
-    return _run_scenario(wl, seed, universe, tracer)
+        procs = procs or wl.procs
+        if meter is not None and procs > 1:
+            raise ValueError("a metered run must stay in this process")
+        return _run_sharded(wl, seed, universe, procs, tracer, meter)
+    return _run_scenario(wl, seed, universe, tracer, meter)
 
 
-def _timed(tracer, layer: str, label: str, phase) -> float:
-    """Host seconds of ``phase``, run as a top-level span when traced."""
+def _timed(tracer, layer: str, label: str, phase, meter=None) -> float:
+    """Host seconds of ``phase``, run as a top-level span when traced.
+
+    Calibration slices ``meter`` runs inside the phase are not counted.
+    """
+    sliced = meter.slice_s if meter is not None else 0.0
     started = time.perf_counter()
     if tracer is None:
-        phase()
+        with metered(meter):
+            phase()
     else:
         tracer.measure(layer, label, phase)
-    return time.perf_counter() - started
+    wall = time.perf_counter() - started
+    return wall - (meter.slice_s - sliced if meter is not None else 0.0)
 
 
-def _run_scenario(wl: Workload, seed: int, universe: int, tracer) -> Universe:
+def _run_scenario(wl: Workload, seed: int, universe: int, tracer,
+                  meter) -> Universe:
     scenario = scenario_for(wl, seed, universe)
     with tracer or nullcontext():
         run = build_scenario(scenario)
@@ -224,7 +290,7 @@ def _run_scenario(wl: Workload, seed: int, universe: int, tracer) -> Universe:
             run.run()
             run.sim.run(until=run.sim.now + seconds(wl.drain_s))
 
-        wall = _timed(tracer, "other", "run", phase)
+        wall = _timed(tracer, "other", "run", phase, meter)
     metrics = run.results()
     samples, ops, violations = watch.collect()
     if tracer is not None:
@@ -234,12 +300,12 @@ def _run_scenario(wl: Workload, seed: int, universe: int, tracer) -> Universe:
 
 
 def _run_sharded(wl: Workload, seed: int, universe: int, procs: int,
-                 tracer) -> Universe:
+                 tracer, meter) -> Universe:
     layout = layout_for(wl, seed, universe)
     results = []
     with probes.ShardHarvest() as harvest, tracer or nullcontext():
         wall = _timed(tracer, "scale", "runner", lambda: results.append(
-            run_sharded_full(layout, procs=procs)))
+            run_sharded_full(layout, procs=procs)), meter)
     metrics = results[0].metrics
     samples, ops, violations = probes.shard_outcome(
         metrics, harvest, payload_bytes=layout.ping_payload_bytes)
@@ -253,9 +319,10 @@ def _run_sharded(wl: Workload, seed: int, universe: int, procs: int,
 def setup_world(wl: Workload, seed: int) -> None:
     """Set-up as a user pays it: build universe 0 and dispatch one event.
 
-    For the sharded runner, whose workers build their regions, this runs
+    For the sharded runner, which builds its regions itself, this runs
     the real runner over a single lookahead window at the workload's
-    process count: worker start-up, region build and one barrier.
+    process count: region build and one barrier (plus worker start-up
+    when procs > 1).
     """
     if wl.kind == "sharded":
         window_s = int(wl.knobs["link_latency"]) / SECOND
