@@ -15,6 +15,14 @@ directory, so an installed copy of the library can demonstrate itself:
     python -m repro mc ...         # reprocheck model-checking gate
     python -m repro list           # show this list
 
+The six CI gates (``chaos``, ``tournament``, ``report --bench``,
+``scale``, ``mc``, ``lint --deep --bench``) share :mod:`repro.harness.gate`:
+wherever a gate runs the simulator in more than one process layout,
+the layouts' digests must be byte-identical; every gate records a
+``failures`` list in its ``BENCH_<name>.json``; and every gate exits 0
+when it passes, 1 on a failed check or crashed run, and 2 on a bad
+option (one stderr line, before any run starts).
+
 ``sweep`` is the experiment harness: it fans a seed sweep of a named
 experiment (e3, a3, soak, perf) across worker processes, prints
 mean +/- 95% CI per grid point, and writes a machine-readable
@@ -25,10 +33,10 @@ mean +/- 95% CI per grid point, and writes a machine-readable
 ``tournament`` is the recovery-policy gate: every (rto x cc x
 link-timer) policy combination runs against the hostile-link fault
 plans at 1200 and 9600 bps, on 1 and N worker processes; the gate
-requires zero crashes, span conservation, byte-identical digests
-across layouts, and the §4.1 headline (AdaptiveRto+Reno strictly
-beats FixedRto+NoCongestion on goodput under the storm plan),
-writing per-cell Student-t CIs to ``BENCH_tournament.json``:
+requires zero crashes, span conservation and the §4.1 headline
+(AdaptiveRto+Reno strictly beats FixedRto+NoCongestion on goodput
+under the storm plan), writing per-cell Student-t CIs to
+``BENCH_tournament.json``:
 
     python -m repro tournament --seeds 3
 
@@ -47,11 +55,10 @@ obs-overhead measurement:
     python -m repro report --bench --seeds 3
 
 ``scale`` is the multi-fidelity sharding gate: every seed's regional
-layout runs with 1, 2 and 4 worker processes and must produce
-byte-identical merged digests; a fault-free scenario must produce
-identical metrics at ``per_char`` and ``frame`` serial fidelity; and a
-headline run with thousands of flow-level background stations records
-wall-clock and events/s into ``BENCH_scale.json``:
+layout runs with 1, 2 and 4 worker processes; a fault-free scenario
+must produce identical metrics at ``per_char`` and ``frame`` serial
+fidelity; and a headline run with thousands of flow-level background
+stations records wall-clock and events/s into ``BENCH_scale.json``:
 
     python -m repro scale --seeds 3 --flow 1000
 
@@ -80,7 +87,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+
+from repro.analysis.cli import main as lint_main
+from repro.harness import gate
+
+if TYPE_CHECKING:
+    from repro.check.explorer import ExplorationResult, Violation
+    from repro.check.mutations import Mutation
+    from repro.harness.runner import RunRecord
+    from repro.metrics.stats import Aggregate
 
 
 def _quickstart() -> None:
@@ -130,6 +146,7 @@ def _observatory() -> None:
     print(format_netstat(testbed.gateway.stack))
 
 
+@gate.entry
 def _sweep(argv: List[str]) -> int:
     """``python -m repro sweep``: run a seeded experiment sweep."""
     from repro.harness import (
@@ -139,7 +156,6 @@ def _sweep(argv: List[str]) -> int:
         run_sweep,
         write_bench_json,
     )
-    from repro.harness.runner import seeds_from_count
 
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
@@ -169,24 +185,15 @@ def _sweep(argv: List[str]) -> int:
                   f"default {experiment.default_seed_count} seeds]")
         return 0 if args.list else 2
     if args.bench not in EXPERIMENTS:
-        print(f"unknown bench {args.bench!r}; try --list", file=sys.stderr)
-        return 2
-
-    if args.seeds is not None and args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
-    if args.procs < 1:
-        print("--procs must be >= 1", file=sys.stderr)
-        return 2
+        raise gate.UsageError(f"unknown bench {args.bench!r}; try --list")
 
     experiment = EXPERIMENTS[args.bench]
     seed_count = (args.seeds if args.seeds is not None
                   else experiment.default_seed_count)
-    spec = SweepSpec(
-        bench=args.bench,
-        seeds=seeds_from_count(seed_count, base=args.seed_base),
-        procs=args.procs,
-    )
+    seeds = gate.seed_list(seed_count, args.seed_base)
+    if args.procs < 1:
+        raise gate.UsageError("--procs must be >= 1")
+    spec = SweepSpec(bench=args.bench, seeds=seeds, procs=args.procs)
     total = len(experiment.grid) * seed_count
     print(f"sweep {args.bench}: {len(experiment.grid)} grid points x "
           f"{seed_count} seeds = {total} runs on {args.procs} process(es)")
@@ -212,35 +219,34 @@ def _sweep(argv: List[str]) -> int:
     return 0
 
 
+def check_chaos_run(record: RunRecord, recovery_bound: float) -> List[str]:
+    """The chaos gate's checks on one procs=1 run."""
+    where = f"seed={record.seed}"
+    metrics = record.metrics
+    failures = []
+    if metrics.get("watchdog_recoveries", 0) < 1:
+        failures.append(f"{where}: watchdog never recovered the TNC")
+    elif metrics.get("watchdog_last_recovery_s", 0) > recovery_bound:
+        failures.append(
+            f"{where}: recovery took "
+            f"{metrics['watchdog_last_recovery_s']:.1f}s "
+            f"(bound {recovery_bound:.0f}s)")
+    if metrics.get("post_fault_pings_ok", 0) < 1:
+        failures.append(f"{where}: no post-recovery ping succeeded")
+    return failures
+
+
+@gate.entry
 def _chaos(argv: List[str]) -> int:
     """``python -m repro chaos``: the fault-injection soak gate.
 
-    Runs the ``chaos`` experiment over N seeds twice -- once inline,
-    once across worker processes -- and requires (1) zero crashed runs,
-    (2) byte-identical per-seed metric digests across the two layouts,
-    (3) at least one watchdog recovery within the documented bound, and
-    (4) successful post-recovery end-to-end pings in every run.
+    The ``chaos`` experiment over N seeds, layout-compared at procs=1
+    and 2; every run needs a watchdog recovery within the documented
+    bound and a successful post-recovery end-to-end ping.
     """
-    from repro.harness import (
-        SweepSpec,
-        bench_json_path,
-        run_sweep,
-        sweep_digests,
-        write_bench_json,
-    )
-    from repro.harness.results import sweep_to_dict
-    from repro.harness.runner import seeds_from_count
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description="Deterministic chaos soak: fault injection + "
-                    "watchdog recovery, digest-compared across "
-                    "process layouts.",
-    )
-    parser.add_argument("--seeds", type=int, default=3, metavar="N",
-                        help="number of seeds (default: 3)")
-    parser.add_argument("--seed-base", type=int, default=1,
-                        help="first seed value (default: 1)")
+    parser = gate.parser("chaos", "Deterministic chaos soak: fault "
+                         "injection + watchdog recovery, digest-compared "
+                         "across process layouts.")
     parser.add_argument("--stations", type=int, default=50,
                         help="station population (default: 50)")
     parser.add_argument("--duration", type=float, default=240.0,
@@ -248,104 +254,62 @@ def _chaos(argv: List[str]) -> int:
     parser.add_argument("--recovery-bound", type=float, default=60.0,
                         help="max allowed watchdog recovery time in "
                              "simulated seconds (default: 60)")
-    parser.add_argument("--out", default=None,
-                        help="results path (default: ./BENCH_chaos.json)")
     args = parser.parse_args(argv)
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
+    seeds = gate.seed_list(args.seeds, args.seed_base)
 
     grid = ({"stations": args.stations,
              "duration_seconds": args.duration},)
-    seeds = seeds_from_count(args.seeds, base=args.seed_base)
-    failures: List[str] = []
-    results = {}
-    for procs in (1, 2):
-        print(f"chaos: {args.seeds} seed(s) x {args.stations} stations, "
-              f"procs={procs}")
-        spec = SweepSpec(bench="chaos", seeds=seeds, grid=grid, procs=procs)
-        result = run_sweep(spec, progress=lambda r: print(
+    chaos = gate.Gate("chaos", args.out)
+    inline, document = chaos.sweep_parity(
+        seeds, procs=2, grid=grid,
+        banner=f"chaos: {args.seeds} seed(s) x {args.stations} stations",
+        progress=lambda r: print(
             f"  seed={r.seed} ({r.wall_seconds:.1f}s) "
             f"recoveries={r.metrics.get('watchdog_recoveries', 0):.0f} "
-            f"post-pings={r.metrics.get('post_fault_pings_ok', 0):.0f}"))
-        results[procs] = result
-
-    digests_1 = sweep_digests(results[1])
-    digests_2 = sweep_digests(results[2])
-    for key, digest in sorted(digests_1.items()):
-        if digests_2.get(key) != digest:
-            failures.append(
-                f"digest mismatch at {key}: procs=1 {digest[:12]} "
-                f"!= procs=2 {(digests_2.get(key) or 'missing')[:12]}")
-    for record in results[1].records:
-        where = f"seed={record.seed}"
-        metrics = record.metrics
-        if metrics.get("watchdog_recoveries", 0) < 1:
-            failures.append(f"{where}: watchdog never recovered the TNC")
-        elif metrics.get("watchdog_last_recovery_s", 0) > args.recovery_bound:
-            failures.append(
-                f"{where}: recovery took "
-                f"{metrics['watchdog_last_recovery_s']:.1f}s "
-                f"(bound {args.recovery_bound:.0f}s)")
-        if metrics.get("post_fault_pings_ok", 0) < 1:
-            failures.append(f"{where}: no post-recovery ping succeeded")
-
-    document = sweep_to_dict(results[2])
-    document["digests"] = {
-        "procs1": digests_1,
-        "procs2": digests_2,
-        "identical": digests_1 == digests_2,
-    }
-    out = args.out or bench_json_path("chaos")
-    path = write_bench_json(out, document, bench="chaos")
-
-    if failures:
-        print("\nchaos gate FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        print(f"wrote {path}")
-        return 1
-    print(f"\nchaos gate passed: {len(digests_1)} run(s), digests "
-          f"identical across layouts; wrote {path}")
-    return 0
+            f"post-pings={r.metrics.get('post_fault_pings_ok', 0):.0f}"),
+        check=lambda record: check_chaos_run(record, args.recovery_bound))
+    return chaos.finish(document, f"{len(inline.records)} run(s), digests "
+                                  "identical across layouts")
 
 
+def check_span_conservation(record: RunRecord) -> List[str]:
+    """Spans must be conserved in a procs=1 sweep run (tournament, obs)."""
+    if record.metrics.get("obs_conservation_ok", 0) < 1:
+        return [f"seed={record.seed} {record.params}: "
+                f"span conservation violated"]
+    return []
+
+
+def check_tournament_headline(champion: Aggregate,
+                              baseline: Aggregate) -> List[str]:
+    """§4.1: AdaptiveRto+Reno must strictly beat FixedRto+NoCongestion."""
+    if champion.mean <= baseline.mean:
+        return [f"§4.1 headline violated: AdaptiveRto+Reno goodput "
+                f"{champion.mean:.1f} B/s does not beat "
+                f"FixedRto+NoCongestion {baseline.mean:.1f} B/s "
+                f"under the storm plan"]
+    return []
+
+
+@gate.entry
 def _tournament(argv: List[str]) -> int:
     """``python -m repro tournament``: the recovery-policy tournament gate.
 
-    Sweeps every (rto x cc x link-timer) policy combination across the
-    hostile-link fault plans and both link speeds, twice -- once inline,
-    once across worker processes -- and requires (1) zero crashed runs,
-    (2) byte-identical per-cell metric digests across the two layouts,
-    (3) span conservation in every run, and (4) the §4.1 headline:
-    AdaptiveRto+Reno strictly beats FixedRto+NoCongestion on mean
-    goodput under the storm plan at 1200 bps.  Writes
-    ``BENCH_tournament.json`` with goodput/latency/retransmit
-    Student-t CIs per cell.
+    Every (rto x cc x link-timer) policy combination across the
+    hostile-link fault plans and both link speeds, layout-compared at
+    procs=1 and ``--procs``; every run must conserve spans, and
+    AdaptiveRto+Reno must strictly beat FixedRto+NoCongestion on mean
+    goodput under the storm plan at 1200 bps (§4.1).  Writes
+    goodput/latency/retransmit Student-t CIs per cell.
     """
     import json
 
     from repro.faults.plan import TOURNAMENT_PLANS
-    from repro.harness import (
-        SweepSpec,
-        bench_json_path,
-        run_sweep,
-        sweep_digests,
-        write_bench_json,
-    )
-    from repro.harness.results import sweep_to_dict
-    from repro.harness.runner import seeds_from_count
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro tournament",
-        description="Recovery-policy tournament: (rto x cc x link-timer) "
-                    "across hostile-link fault plans and link speeds, "
-                    "digest-compared across process layouts.",
-    )
-    parser.add_argument("--seeds", type=int, default=3, metavar="N",
-                        help="number of seeds per cell (default: 3)")
-    parser.add_argument("--seed-base", type=int, default=1,
-                        help="first seed value (default: 1)")
+    parser = gate.parser("tournament", "Recovery-policy tournament: (rto x "
+                         "cc x link-timer) across hostile-link fault plans "
+                         "and link speeds, digest-compared across process "
+                         "layouts.")
     parser.add_argument("--plans", default=",".join(TOURNAMENT_PLANS),
                         help="comma-separated fault plans "
                              f"(default: {','.join(TOURNAMENT_PLANS)})")
@@ -357,20 +321,21 @@ def _tournament(argv: List[str]) -> int:
     parser.add_argument("--procs", type=int, default=2,
                         help="worker processes for the parallel layout "
                              "(default: 2)")
-    parser.add_argument("--out", default=None,
-                        help="results path (default: "
-                             "./BENCH_tournament.json)")
     args = parser.parse_args(argv)
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
+    seeds = gate.seed_list(args.seeds, args.seed_base)
     plans = tuple(p.strip() for p in args.plans.split(",") if p.strip())
     unknown = [p for p in plans if p not in TOURNAMENT_PLANS]
     if not plans or unknown:
-        print(f"unknown plan(s) {unknown}; known: "
-              f"{', '.join(TOURNAMENT_PLANS)}", file=sys.stderr)
-        return 2
-    speeds = tuple(int(s) for s in args.speeds.split(",") if s.strip())
+        raise gate.UsageError(f"unknown plan(s) {unknown}; known: "
+                              f"{', '.join(TOURNAMENT_PLANS)}")
+    rates = [s.strip() for s in args.speeds.split(",") if s.strip()]
+    if not rates or not all(s.isdigit() and int(s) > 0 for s in rates):
+        raise gate.UsageError(f"bad --speeds {args.speeds!r}: want "
+                              "comma-separated positive bit rates")
+    speeds = tuple(int(s) for s in rates)
+    if args.procs < 2:
+        raise gate.UsageError("--procs must be >= 2: the parallel layout "
+                              "is compared against procs=1")
 
     def cell(rto: str, cc: str, link_timer: str, plan: str,
              bit_rate: int) -> Dict[str, object]:
@@ -386,23 +351,14 @@ def _tournament(argv: List[str]) -> int:
         for cc in ("none", "reno", "paced")
         for link_timer in ("fixed", "adaptive")
     )
-    seeds = seeds_from_count(args.seeds, base=args.seed_base)
     total = len(grid) * args.seeds
-    failures: List[str] = []
-    results = {}
-    for procs in (1, args.procs):
-        print(f"tournament: {len(grid)} cells x {args.seeds} seed(s) "
-              f"= {total} runs, procs={procs}")
-        spec = SweepSpec(bench="tournament", seeds=seeds, grid=grid,
-                         procs=procs)
-        try:
-            results[procs] = run_sweep(spec)
-        except Exception as exc:  # a crashed cell fails the whole gate
-            print(f"\ntournament gate FAILED: run crashed under "
-                  f"procs={procs}: {exc!r}")
-            return 1
+    tournament = gate.Gate("tournament", args.out)
+    result, document = tournament.sweep_parity(
+        seeds, procs=args.procs, grid=grid,
+        banner=f"tournament: {len(grid)} cells x {args.seeds} seed(s) "
+               f"= {total} runs",
+        check=check_span_conservation)
 
-    result = results[1]
     print(f"\ntournament: goodput/latency/retransmits, mean ± 95% CI "
           f"over {args.seeds} seed(s)")
     for key, params in result.grid_points():
@@ -417,31 +373,17 @@ def _tournament(argv: List[str]) -> int:
               f"rexmit={rexmit.render():18s} "
               f"latency={latency.render() if latency else '-'}")
 
-    digests_1 = sweep_digests(results[1])
-    digests_2 = sweep_digests(results[args.procs])
-    for key, digest in sorted(digests_1.items()):
-        if digests_2.get(key) != digest:
-            failures.append(
-                f"digest mismatch at {key}: procs=1 {digest[:12]} "
-                f"!= procs={args.procs} "
-                f"{(digests_2.get(key) or 'missing')[:12]}")
-    for record in result.records:
-        if record.metrics.get("obs_conservation_ok", 0) < 1:
-            failures.append(f"seed={record.seed} {record.params}: "
-                            f"span conservation violated")
-
     # The §4.1 headline: on the storm plan at 1200 bps, adaptive RTO
     # with Reno must strictly beat the fixed-RTO uncongested baseline.
     headline = {}
     if "storm" in plans and 1200 in speeds:
-        champion_key = json.dumps(
-            cell("adaptive", "reno", "fixed", "storm", 1200),
-            sort_keys=True, default=str)
-        baseline_key = json.dumps(
-            cell("fixed", "none", "fixed", "storm", 1200),
-            sort_keys=True, default=str)
-        champion = result.aggregates[champion_key]["goodput_bytes_per_s"]
-        baseline = result.aggregates[baseline_key]["goodput_bytes_per_s"]
+        def storm_goodput(rto: str, cc: str) -> Aggregate:
+            key = json.dumps(cell(rto, cc, "fixed", "storm", 1200),
+                             sort_keys=True, default=str)
+            return result.aggregates[key]["goodput_bytes_per_s"]
+
+        champion = storm_goodput("adaptive", "reno")
+        baseline = storm_goodput("fixed", "none")
         headline = {
             "adaptive_reno_goodput": champion.as_dict(),
             "fixed_none_goodput": baseline.as_dict(),
@@ -450,17 +392,11 @@ def _tournament(argv: List[str]) -> int:
         print(f"\n  §4.1 headline (storm @ 1200 bps): "
               f"AdaptiveRto+Reno {champion.render()} vs "
               f"FixedRto+NoCongestion {baseline.render()} B/s")
-        if champion.mean <= baseline.mean:
-            failures.append(
-                f"§4.1 headline violated: AdaptiveRto+Reno goodput "
-                f"{champion.mean:.1f} B/s does not beat "
-                f"FixedRto+NoCongestion {baseline.mean:.1f} B/s "
-                f"under the storm plan")
+        tournament.failures += check_tournament_headline(champion, baseline)
 
-    document = sweep_to_dict(results[args.procs])
     # 360 runs x ~180 metrics (mostly obs histogram buckets) makes a
     # multi-megabyte artifact; keep the recovery-relevant slice.  The
-    # digests below still cover the full metric set of every run.
+    # document's digests still cover the full metric set of every run.
     keep_prefixes = ("goodput_", "tcp_", "lapb_", "fault",
                      "obs_conservation_", "channel_")
     keep_exact = {"obs_born_total", "obs_delivered", "obs_dropped",
@@ -470,27 +406,34 @@ def _tournament(argv: List[str]) -> int:
             entry["metrics"] = {
                 name: value for name, value in entry["metrics"].items()
                 if name in keep_exact or name.startswith(keep_prefixes)}
-    document["digests"] = {
-        "procs1": digests_1,
-        f"procs{args.procs}": digests_2,
-        "identical": digests_1 == digests_2,
-    }
     document["headline"] = headline
-    out = args.out or bench_json_path("tournament")
-    path = write_bench_json(out, document, bench="tournament")
-
-    if failures:
-        print("\ntournament gate FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        print(f"wrote {path}")
-        return 1
-    print(f"\ntournament gate passed: {len(grid)} cell(s) x "
-          f"{args.seeds} seed(s), zero crashes, spans conserved, "
-          f"digests identical across layouts; wrote {path}")
-    return 0
+    return tournament.finish(
+        document, f"{len(grid)} cell(s) x {args.seeds} seed(s), zero "
+                  "crashes, spans conserved, digests identical across "
+                  "layouts")
 
 
+def check_obs_run(record: RunRecord) -> List[str]:
+    """The obs gate's checks on one procs=1 sweep run."""
+    failures = check_span_conservation(record)
+    if record.metrics.get("obs_born_total", 0) < 1:
+        failures.append(f"seed={record.seed} {record.params}: "
+                        "no packets born (dead scenario)")
+    return failures
+
+
+def check_obs_shard(seed: int, metrics: Dict[str, float]) -> List[str]:
+    """The obs gate's checks on one procs=1 sharded-trace run."""
+    failures = []
+    if metrics.get("total/obs_sharded_conservation_ok", 0) < 1:
+        failures.append(f"shard seed={seed}: cross-shard span "
+                        f"conservation violated")
+    if metrics.get("total/obs_born_total", 0) < 1:
+        failures.append(f"shard seed={seed}: no packets born")
+    return failures
+
+
+@gate.entry
 def _report(argv: List[str]) -> int:
     """``python -m repro report``: the packet flight recorder front door.
 
@@ -504,23 +447,17 @@ def _report(argv: List[str]) -> int:
     one-line error instead of a traceback or a partial answer.
 
     With ``--bench``: the observability gate.  (1) The ``obs``
-    experiment (plain + chaos variants) over N seeds twice -- once
-    inline, once across worker processes -- requiring span conservation
-    (``obs_conservation_ok``) with at least one packet born in every
-    run and byte-identical per-seed metric digests across the two
-    layouts.  (2) The sharded-trace gate: a 2-region observed chaos
-    layout per seed, run with 1, 2 and 4 worker processes, requiring
-    byte-identical merged digests and cross-shard span conservation
-    (``total/obs_sharded_conservation_ok``).  (3) The paired-round
+    experiment (plain + chaos variants) over N seeds, layout-compared
+    at procs=1 and 2, requiring span conservation and at least one
+    packet born in every run.  (2) The sharded-trace gate: a 2-region
+    observed chaos layout per seed at 1, 2 and 4 worker processes,
+    requiring cross-shard span conservation.  (3) The paired-round
     obs-overhead measurement (recorded, not gated here -- the perf
-    bench asserts the budget).  Writes ``BENCH_obs.json``.
+    bench asserts the budget).
     """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro report",
-        description="Packet flight recorder: lifecycle report, pcap "
-                    "export, and (with --bench) the span-conservation "
-                    "digest gate.",
-    )
+    parser = gate.parser("report", "Packet flight recorder: lifecycle "
+                         "report, pcap export, and (with --bench) the "
+                         "span-conservation digest gate.", bench="obs")
     parser.add_argument("--bench", action="store_true",
                         help="run the observability gate instead of a "
                              "single report")
@@ -546,13 +483,6 @@ def _report(argv: List[str]) -> int:
                         help="run without the flight recorder (the "
                              "report then fails with a clear error; "
                              "useful with --flame)")
-    parser.add_argument("--seeds", type=int, default=3, metavar="N",
-                        help="gate mode: number of seeds (default: 3)")
-    parser.add_argument("--seed-base", type=int, default=1,
-                        help="gate mode: first seed value (default: 1)")
-    parser.add_argument("--out", default=None,
-                        help="gate mode: results path "
-                             "(default: ./BENCH_obs.json)")
     args = parser.parse_args(argv)
 
     if not args.bench:
@@ -608,60 +538,25 @@ def _report(argv: List[str]) -> int:
                   f"{args.pcap} (libpcap, LINKTYPE_AX25_KISS)")
         return 0
 
-    from repro.harness import (
-        SweepSpec,
-        bench_json_path,
-        run_sweep,
-        sweep_digests,
-        write_bench_json,
-    )
-    from repro.harness.results import sweep_to_dict
-    from repro.harness.runner import seeds_from_count
+    from repro.faults import FaultPlan, FaultSpec
+    from repro.obs.overhead import measure as measure_overhead
+    from repro.scale.regions import ScaleLayout
+    from repro.sim.clock import SECOND
 
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
-    seeds = seeds_from_count(args.seeds, base=args.seed_base)
-    failures: List[str] = []
-    results = {}
-    for procs in (1, 2):
-        print(f"obs gate: {args.seeds} seed(s) x 2 variants, procs={procs}")
-        spec = SweepSpec(bench="obs", seeds=seeds, procs=procs)
-        result = run_sweep(spec, progress=lambda r: print(
+    seeds = gate.seed_list(args.seeds, args.seed_base)
+    obs = gate.Gate("obs", args.out)
+    inline, document = obs.sweep_parity(
+        seeds, procs=2,
+        banner=f"obs gate: {args.seeds} seed(s) x 2 variants",
+        progress=lambda r: print(
             f"  seed={r.seed} {r.params} ({r.wall_seconds:.1f}s) "
             f"born={r.metrics.get('obs_born_total', 0):.0f} "
             f"delivered={r.metrics.get('obs_delivered', 0):.0f} "
-            f"conservation={r.metrics.get('obs_conservation_ok', 0):.0f}"))
-        results[procs] = result
+            f"conservation={r.metrics.get('obs_conservation_ok', 0):.0f}"),
+        check=check_obs_run)
 
-    digests_1 = sweep_digests(results[1])
-    digests_2 = sweep_digests(results[2])
-    for key, digest in sorted(digests_1.items()):
-        if digests_2.get(key) != digest:
-            failures.append(
-                f"digest mismatch at {key}: procs=1 {digest[:12]} "
-                f"!= procs=2 {(digests_2.get(key) or 'missing')[:12]}")
-    for record in results[1].records:
-        where = f"seed={record.seed} {record.params}"
-        metrics = record.metrics
-        if metrics.get("obs_conservation_ok", 0) < 1:
-            failures.append(f"{where}: span conservation violated")
-        if metrics.get("obs_born_total", 0) < 1:
-            failures.append(f"{where}: no packets born (dead scenario)")
-
-    # Sharded-trace gate: a two-region observed chaos layout per seed,
-    # run with 1/2/4 worker processes.  Cross-shard span conservation
-    # (born = delivered + dropped + shed + in-flight over the *merged*
-    # run, with handoffs balancing adoptions) must hold and the merged
-    # digests must be byte-identical across process counts.
-    from dataclasses import replace as dc_replace
-
-    from repro.faults import FaultPlan, FaultSpec
-    from repro.harness import metrics_digest
-    from repro.scale.regions import ScaleLayout
-    from repro.scale.shard import run_sharded
-    from repro.sim.clock import SECOND
-
+    # Cross-shard span conservation: born = delivered + dropped + shed +
+    # in-flight over the *merged* run, with handoffs balancing adoptions.
     shard_template = ScaleLayout(
         regions=2, stations_per_region=2, duration_seconds=40.0,
         drain_seconds=20.0, observe=True,
@@ -673,45 +568,24 @@ def _report(argv: List[str]) -> int:
                       probability=0.05),
         )))
     shard_procs = (1, 2, 4)
-    shard_digests: Dict[str, Dict[str, str]] = {
-        f"procs{procs}": {} for procs in shard_procs}
-    shard_runs: Dict[str, Dict[str, float]] = {}
     print(f"sharded-trace gate: {args.seeds} seed(s) x 2 regions, "
           f"procs={shard_procs}")
-    for seed in seeds:
-        layout = dc_replace(shard_template, seed=seed)
-        per_procs = {}
-        for procs in shard_procs:
-            metrics = run_sharded(layout, procs=procs)
-            digest = metrics_digest(metrics)
-            per_procs[procs] = digest
-            shard_digests[f"procs{procs}"][f"seed={seed}"] = digest
-            if procs != 1:
-                continue
-            shard_runs[f"seed={seed}"] = {
-                key: value for key, value in sorted(metrics.items())
-                if key.startswith("total/obs_")}
-            born = metrics.get("total/obs_born_total", 0)
-            print(f"  seed={seed} born={born:.0f} "
+
+    def shard_progress(seed: int, procs: int, metrics: Dict[str, float],
+                       digest: str, wall: float) -> None:
+        if procs == 1:
+            print(f"  seed={seed} "
+                  f"born={metrics.get('total/obs_born_total', 0):.0f} "
                   f"handed-off={metrics.get('total/obs_handed_off', 0):.0f} "
                   f"adopted={metrics.get('total/obs_adopted', 0):.0f} "
                   f"digest={digest[:12]}")
-            if metrics.get("total/obs_sharded_conservation_ok", 0) < 1:
-                failures.append(f"shard seed={seed}: cross-shard span "
-                                f"conservation violated")
-            if born < 1:
-                failures.append(f"shard seed={seed}: no packets born")
-        if len(set(per_procs.values())) != 1:
-            failures.append(
-                f"shard seed={seed}: merged digests differ across "
-                "process counts "
-                + " ".join(f"procs={p}:{d[:12]}"
-                           for p, d in sorted(per_procs.items())))
+
+    shard_runs, shard_digests = obs.shard_parity(
+        shard_template, seeds, shard_procs, label="shard ",
+        progress=shard_progress, check=check_obs_shard)
 
     # Paired-round overhead columns (recorded for trend tracking; the
     # perf microbench asserts the <10% budget with more rounds).
-    from repro.obs.overhead import measure as measure_overhead
-
     overhead = measure_overhead(rounds=5)
     print("obs overhead (paired rounds, vs bracketing disabled runs): "
           f"ring {overhead['obs_enabled_overhead_median_pct']:+.1f}% "
@@ -721,37 +595,37 @@ def _report(argv: List[str]) -> int:
           f"noise {overhead['obs_disabled_overhead_pct']:+.1f}%"
           f"±{overhead['obs_disabled_overhead_ci95_pct']:.1f}")
 
-    document = sweep_to_dict(results[2])
-    document["digests"] = {
-        "procs1": digests_1,
-        "procs2": digests_2,
-        "identical": digests_1 == digests_2,
-    }
     document["sharded"] = {
-        "runs": shard_runs,
-        "digests": {
-            **shard_digests,
-            "identical": all(
-                shard_digests[f"procs{procs}"] == shard_digests["procs1"]
-                for procs in shard_procs),
-        },
+        "runs": {
+            f"seed={seed}": {key: value
+                             for key, value in sorted(by_procs[1].items())
+                             if key.startswith("total/obs_")}
+            for seed, by_procs in shard_runs.items()},
+        "digests": shard_digests,
     }
     document["overhead"] = overhead
-    out = args.out or bench_json_path("obs")
-    path = write_bench_json(out, document, bench="obs")
-
-    if failures:
-        print("\nobs gate FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        print(f"wrote {path}")
-        return 1
-    print(f"\nobs gate passed: {len(digests_1)} run(s) conserve spans, "
-          f"{len(shard_runs)} sharded run(s) conserve across regions, "
-          f"digests identical across layouts; wrote {path}")
-    return 0
+    return obs.finish(
+        document, f"{len(inline.records)} run(s) conserve spans, "
+                  f"{len(shard_runs)} sharded run(s) conserve across "
+                  "regions, digests identical across layouts")
 
 
+def check_scale_pings(where: str, metrics: Dict[str, float]) -> List[str]:
+    """A scale run (procs=1 regional or headline) must cross regions."""
+    if metrics.get("total/pings_received", 0) < 1:
+        return [f"{where}: no cross-region ping completed"]
+    return []
+
+
+def check_scale_fidelity(digests: Dict[str, str]) -> List[str]:
+    """Frame fidelity must be digest-equal to per_char on a clean line."""
+    if digests["per_char"] != digests["frame"]:
+        return ["frame fidelity digest differs from per_char "
+                "on a fault-free line"]
+    return []
+
+
+@gate.entry
 def _scale(argv: List[str]) -> int:
     """``python -m repro scale``: the multi-fidelity sharding gate.
 
@@ -770,22 +644,16 @@ def _scale(argv: List[str]) -> int:
     import time
     from dataclasses import replace as dc_replace
 
-    from repro.harness import bench_json_path, metrics_digest, write_bench_json
+    from repro.harness import metrics_digest
     from repro.scale.fidelity import fidelity_comparable
     from repro.scale.regions import ScaleLayout
     from repro.scale.shard import run_sharded
     from repro.workload.scenario import Scenario, run_scenario
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro scale",
-        description="Multi-fidelity sharded regional runner: digest "
-                    "gates for shard invariance and frame-fidelity "
-                    "equivalence, plus a headline scale run.",
-    )
-    parser.add_argument("--seeds", type=int, default=3, metavar="N",
-                        help="number of seeds (default: 3)")
-    parser.add_argument("--seed-base", type=int, default=1,
-                        help="first seed value (default: 1)")
+    parser = gate.parser("scale", "Multi-fidelity sharded regional "
+                         "runner: digest gates for shard invariance and "
+                         "frame-fidelity equivalence, plus a headline "
+                         "scale run.")
     parser.add_argument("--regions", type=int, default=2,
                         help="regions / shards (default: 2)")
     parser.add_argument("--stations", type=int, default=2,
@@ -805,48 +673,25 @@ def _scale(argv: List[str]) -> int:
                         metavar="N",
                         help="background stations in the headline scale "
                              "run; 0 skips it (default: 5000)")
-    parser.add_argument("--out", default=None,
-                        help="results path (default: ./BENCH_scale.json)")
     args = parser.parse_args(argv)
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
+    seeds = gate.seed_list(args.seeds, args.seed_base)
 
-    failures: List[str] = []
+    scale = gate.Gate("scale", args.out)
     layouts = ScaleLayout(
         regions=args.regions, stations_per_region=args.stations,
         flow_stations=args.flow, duration_seconds=args.duration,
         fidelity=args.fidelity,
     )
     proc_counts = (1, 2, 4)
-    digests: Dict[str, Dict[str, str]] = {
-        f"procs{procs}": {} for procs in proc_counts}
-    runs: Dict[str, Dict[str, float]] = {}
-    for index in range(args.seeds):
-        seed = args.seed_base + index
-        layout = dc_replace(layouts, seed=seed)
-        per_procs = {}
-        for procs in proc_counts:
-            started = time.perf_counter()
-            metrics = run_sharded(layout, procs=procs)
-            wall = time.perf_counter() - started
-            digest = metrics_digest(metrics)
-            per_procs[procs] = digest
-            digests[f"procs{procs}"][f"seed={seed}"] = digest
-            print(f"  seed={seed} procs={procs} digest={digest[:12]} "
-                  f"({wall:.1f}s) pings="
-                  f"{metrics.get('total/pings_received', 0):.0f}/"
-                  f"{metrics.get('total/pings_sent', 0):.0f}")
-            if procs == 1:
-                runs[f"seed={seed}"] = metrics
-                if metrics.get("total/pings_received", 0) < 1:
-                    failures.append(
-                        f"seed={seed}: no cross-region ping completed")
-        if len(set(per_procs.values())) != 1:
-            failures.append(
-                f"seed={seed}: digests differ across process counts "
-                + " ".join(f"procs={p}:{d[:12]}"
-                           for p, d in sorted(per_procs.items())))
+    runs, digests = scale.shard_parity(
+        layouts, seeds, proc_counts,
+        progress=lambda seed, procs, metrics, digest, wall: print(
+            f"  seed={seed} procs={procs} digest={digest[:12]} "
+            f"({wall:.1f}s) pings="
+            f"{metrics.get('total/pings_received', 0):.0f}/"
+            f"{metrics.get('total/pings_sent', 0):.0f}"),
+        check=lambda seed, metrics: check_scale_pings(f"seed={seed}",
+                                                      metrics))
 
     # Fidelity equivalence on a fault-free single-simulator scenario:
     # the frame path must be byte-identical to the per-char path in
@@ -861,14 +706,11 @@ def _scale(argv: List[str]) -> int:
         "per_char": metrics_digest(fidelity_comparable(per_char)),
         "frame": metrics_digest(fidelity_comparable(frame)),
     }
-    fid_identical = fid_digests["per_char"] == fid_digests["frame"]
     saved = per_char["events_executed"] - frame["events_executed"]
     print(f"  fidelity: per_char={fid_digests['per_char'][:12]} "
           f"frame={fid_digests['frame'][:12]} "
           f"({saved:.0f} events saved)")
-    if not fid_identical:
-        failures.append("frame fidelity digest differs from per_char "
-                        "on a fault-free line")
+    scale.failures += check_scale_fidelity(fid_digests)
 
     headline: Dict[str, float] = {}
     if args.headline_flow > 0:
@@ -897,15 +739,14 @@ def _scale(argv: List[str]) -> int:
         }
         print(f"  headline: {events:.0f} events in {wall:.1f}s wall "
               f"({events / wall:,.0f} events/s)")
-        if metrics.get("total/pings_received", 0) < 1:
-            failures.append("headline run: no cross-region ping completed")
+        scale.failures += check_scale_pings("headline run", metrics)
 
-    identical = all(digests[f"procs{procs}"] == digests["procs1"]
-                    for procs in proc_counts)
     document: Dict[str, object] = {
-        "runs": runs,
-        "digests": {**digests, "identical": identical},
-        "fidelity": {**fid_digests, "identical": fid_identical},
+        "runs": {f"seed={seed}": by_procs[1]
+                 for seed, by_procs in runs.items()},
+        "digests": digests,
+        "fidelity": {**fid_digests, "identical":
+                     fid_digests["per_char"] == fid_digests["frame"]},
         "headline": headline,
         "params": {
             "seeds": args.seeds, "regions": args.regions,
@@ -915,18 +756,9 @@ def _scale(argv: List[str]) -> int:
             "fidelity": args.fidelity,
         },
     }
-    out = args.out or bench_json_path("scale")
-    path = write_bench_json(out, document, bench="scale")
-
-    if failures:
-        print("\nscale gate FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        print(f"wrote {path}")
-        return 1
-    print(f"\nscale gate passed: {args.seeds} seed(s) invariant across "
-          f"procs {proc_counts}, frame fidelity digest-equal; wrote {path}")
-    return 0
+    return scale.finish(
+        document, f"{args.seeds} seed(s) invariant across procs "
+                  f"{proc_counts}, frame fidelity digest-equal")
 
 
 SCENARIOS: Dict[str, Callable[[], None]] = {
@@ -936,6 +768,44 @@ SCENARIOS: Dict[str, Callable[[], None]] = {
 }
 
 
+def check_mc_world(name: str, result: ExplorationResult) -> List[str]:
+    """A preset world must explore with zero violations."""
+    return [f"{name}: {violation.render().splitlines()[0]}"
+            for violation in result.violations]
+
+
+def check_mc_por(tree_complete: bool, ratio: float) -> List[str]:
+    """Partial-order reduction must shrink the lapb2 tree at least 2x."""
+    failures = []
+    if not tree_complete:
+        failures.append("POR tree walk of lapb2 hit its budget; "
+                        "ratio is not meaningful")
+    if ratio < 2.0:
+        failures.append(
+            f"POR ratio {ratio:.2f}x < 2x on lapb2")
+    return failures
+
+
+def check_mc_mutation(mutation: Mutation, found: Optional[Violation],
+                      replayed: bool) -> List[str]:
+    """A seeded bug must be caught by its invariant and replay."""
+    if found is None:
+        return [f"mutation {mutation.name}: no violation found "
+                f"({mutation.description})"]
+    failures = []
+    if found.invariant != mutation.expected_invariant:
+        failures.append(
+            f"mutation {mutation.name}: expected "
+            f"{mutation.expected_invariant}, caught by "
+            f"{found.invariant}")
+    if not replayed:
+        failures.append(
+            f"mutation {mutation.name}: counterexample did not "
+            f"replay")
+    return failures
+
+
+@gate.entry
 def _mc(argv: List[str]) -> int:
     """``python -m repro mc``: the model-checking gate.
 
@@ -949,14 +819,10 @@ def _mc(argv: List[str]) -> int:
     from repro.check.mutations import MUTATIONS
     from repro.check.replay import replay_violation
     from repro.check.worlds import WORLDS
-    from repro.harness import bench_json_path, write_bench_json
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro mc",
-        description="Bounded explicit-state model checking of the "
-                    "protocol stack: preset worlds, POR ratio, "
-                    "mutation gate.",
-    )
+    parser = gate.parser("mc", "Bounded explicit-state model checking "
+                         "of the protocol stack: preset worlds, POR ratio, "
+                         "mutation gate.", seeds=None)
     parser.add_argument("--worlds", default="lapb2,hidden3,tcpxfer",
                         help="comma-separated preset worlds "
                              "(default: lapb2,hidden3,tcpxfer; "
@@ -980,23 +846,20 @@ def _mc(argv: List[str]) -> int:
     parser.add_argument("--counterexamples", action="store_true",
                         help="print the shortest counterexample and "
                              "replay timeline for any violation")
-    parser.add_argument("--out", default=None,
-                        help="results path (default: ./BENCH_mc.json)")
     args = parser.parse_args(argv)
 
     names = [name.strip() for name in args.worlds.split(",") if name.strip()]
     unknown = [name for name in names if name not in WORLDS]
     if unknown:
-        print(f"unknown world(s): {', '.join(unknown)} "
-              f"(known: {', '.join(sorted(WORLDS))})", file=sys.stderr)
-        return 2
+        raise gate.UsageError(f"unknown world(s): {', '.join(unknown)} "
+                              f"(known: {', '.join(sorted(WORLDS))})")
 
     def budget(max_states: int) -> Budget:
         return Budget(max_states=max_states,
                       max_depth=args.max_depth,
                       max_wall_seconds=args.max_seconds)
 
-    failures: List[str] = []
+    mc = gate.Gate("mc", args.out)
     presets = []
     for name in names:
         explorer = Explorer(lambda n=name: build_world(n), por=True,
@@ -1009,8 +872,7 @@ def _mc(argv: List[str]) -> int:
               f"{result.transitions} transitions "
               f"({result.states_per_second:.0f} states/s, {status}), "
               f"{len(result.violations)} violation(s)")
-        for violation in result.violations:
-            failures.append(f"{name}: {violation.render().splitlines()[0]}")
+        mc.failures += check_mc_world(name, result)
         shortest = result.shortest_violation()
         if shortest is not None and args.counterexamples:
             print(shortest.render())
@@ -1043,12 +905,7 @@ def _mc(argv: List[str]) -> int:
         print(f"mc: POR ratio on lapb2 tree: {bound} {ratio:.1f}x "
               f"({naive_result.states} naive vs {tree_result.states} "
               f"reduced states)")
-        if not tree_result.complete:
-            failures.append("POR tree walk of lapb2 hit its budget; "
-                            "ratio is not meaningful")
-        if ratio < 2.0:
-            failures.append(
-                f"POR ratio {ratio:.2f}x < 2x on lapb2")
+        mc.failures += check_mc_por(tree_result.complete, ratio)
 
     mutation_rows = []
     if not args.skip_mutation_gate:
@@ -1075,24 +932,13 @@ def _mc(argv: List[str]) -> int:
                 "replay_confirmed": replayed,
             }
             mutation_rows.append(row)
+            mc.failures += check_mc_mutation(mutation, found, replayed)
             if found is None:
-                failures.append(
-                    f"mutation {mutation.name}: no violation found "
-                    f"({mutation.description})")
                 print(f"mc: mutation {mutation.name}: MISSED")
-                continue
-            if found.invariant != mutation.expected_invariant:
-                failures.append(
-                    f"mutation {mutation.name}: expected "
-                    f"{mutation.expected_invariant}, caught by "
-                    f"{found.invariant}")
-            if not replayed:
-                failures.append(
-                    f"mutation {mutation.name}: counterexample did not "
-                    f"replay")
-            print(f"mc: mutation {mutation.name}: caught by "
-                  f"{found.invariant} in {found.depth} step(s), "
-                  f"replay {'confirmed' if replayed else 'DIVERGED'}")
+            else:
+                print(f"mc: mutation {mutation.name}: caught by "
+                      f"{found.invariant} in {found.depth} step(s), "
+                      f"replay {'confirmed' if replayed else 'DIVERGED'}")
 
     document = {
         "spec": {
@@ -1105,40 +951,22 @@ def _mc(argv: List[str]) -> int:
         "presets": presets,
         "por_ratio": por_ratio,
         "mutation_gate": mutation_rows,
-        "failures": failures,
     }
-    out = args.out or bench_json_path("mc")
-    path = write_bench_json(out, document, bench="mc")
+    return mc.finish(document, f"{len(names)} world(s) clean, "
+                               f"{len(mutation_rows)} mutation(s) caught")
 
-    if failures:
-        print("\nmc gate FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        print(f"wrote {path}")
-        return 1
-    print(f"\nmc gate passed: {len(names)} world(s) clean, "
-          f"{len(mutation_rows)} mutation(s) caught; wrote {path}")
-    return 0
+
+COMMANDS: Dict[str, Callable[[List[str]], int]] = {
+    "sweep": _sweep, "chaos": _chaos, "tournament": _tournament,
+    "report": _report, "scale": _scale, "lint": lint_main, "mc": _mc,
+}
 
 
 def main(argv: list) -> int:
     """Dispatch to a scenario; returns a process exit code."""
     name = argv[1] if len(argv) > 1 else "list"
-    if name == "sweep":
-        return _sweep(argv[2:])
-    if name == "chaos":
-        return _chaos(argv[2:])
-    if name == "tournament":
-        return _tournament(argv[2:])
-    if name == "report":
-        return _report(argv[2:])
-    if name == "scale":
-        return _scale(argv[2:])
-    if name == "lint":
-        from repro.analysis.cli import main as lint_main
-        return lint_main(argv[2:])
-    if name == "mc":
-        return _mc(argv[2:])
+    if name in COMMANDS:
+        return COMMANDS[name](argv[2:])
     if name in SCENARIOS:
         SCENARIOS[name]()
         return 0
@@ -1146,7 +974,7 @@ def main(argv: list) -> int:
         print(f"unknown scenario {name!r}", file=sys.stderr)
     print(__doc__.strip())
     print("\nbuilt-in scenarios:", ", ".join(sorted(SCENARIOS)),
-          "+ sweep, chaos, tournament, report, scale, lint, mc")
+          "+ " + ", ".join(COMMANDS))
     print("richer versions live in examples/*.py")
     return 0 if name in ("list", "-h", "--help") else 2
 

@@ -1,15 +1,15 @@
 """``python -m repro lint``: the CI gate front-end.
 
 Exit codes: 0 clean (no findings outside baseline/suppressions),
-1 new findings or parse errors, 2 usage error.
+1 new findings, parse errors or a failed ``--deep --bench`` check,
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.baseline import (
     BaselineError,
@@ -18,8 +18,10 @@ from repro.analysis.baseline import (
     write_baseline,
 )
 from repro.analysis.engine import LintEngine, list_rules
+from repro.harness import gate
 
 
+@gate.entry
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro lint",
@@ -65,8 +67,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.bench and not args.deep:
-        print("--bench requires --deep", file=sys.stderr)
-        return 2
+        raise gate.UsageError("--bench requires --deep")
+    seeds = gate.seed_list(args.seeds, base=0) if args.bench else ()
 
     if args.list_rules:
         print(list_rules())
@@ -76,25 +78,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.analysis.explain import explain_rule
         text = explain_rule(args.explain)
         if text is None:
-            print(f"unknown rule {args.explain!r}; see --list-rules",
-                  file=sys.stderr)
-            return 2
+            raise gate.UsageError(
+                f"unknown rule {args.explain!r}; see --list-rules")
         print(text)
         return 0
 
     paths = args.paths or ["src"]
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
-        print(f"no such path(s): {', '.join(missing)}", file=sys.stderr)
-        return 2
+        raise gate.UsageError(f"no such path(s): {', '.join(missing)}")
 
     baseline_path = Path(args.baseline) if args.baseline \
         else Path(DEFAULT_BASELINE_NAME)
     try:
         baseline = load_baseline(baseline_path)
     except BaselineError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise gate.UsageError(str(exc)) from exc
 
     engine = LintEngine(baseline=baseline, deep=args.deep)
     report = engine.lint_paths(paths, display_root=Path.cwd())
@@ -109,10 +108,8 @@ def main(argv: Optional[List[str]] = None) -> int:
           else report.render_text())
 
     if args.bench:
-        bench_code = _run_bench(report, seeds=args.seeds,
-                                stations=args.stations,
-                                duration=args.duration)
-        return report.exit_code or bench_code
+        return _run_bench(report, seeds=seeds, stations=args.stations,
+                          duration=args.duration)
     return report.exit_code
 
 
@@ -126,21 +123,37 @@ _ISOLATION_RULES = ("SHARD001", "SHARD002")
 _FIDELITY_RULES = ("UNIT001", "UNIT002", "FID001")
 
 
-def _run_bench(report, seeds: int, stations: int, duration: float) -> int:
+def check_agreement(agreement: Dict[str, Dict[str, object]]) -> List[str]:
+    """Every static/dynamic agreement row must agree."""
+    return [f"{name}: static and dynamic analyses disagree ({row})"
+            for name, row in sorted(agreement.items()) if not row["agree"]]
+
+
+def _run_bench(report, seeds: Sequence[int], stations: int,
+               duration: float) -> int:
     """The --deep --bench tail: dynamic runs + agreement matrix.
 
     The matrix pairs each static family with its runtime check: the
     analyses *agree* when both sides are clean or both sides fire.  A
     dynamic failure with a clean static side is the interesting row --
-    a bug class the passes cannot yet see.
+    a bug class the passes cannot yet see.  The lint gate fails on new
+    static findings, on a shard-parity mismatch and on any row that
+    disagrees.
     """
-    from repro.harness.experiments import run_sanitize
-    from repro.harness.results import bench_json_path, write_bench_json
+    import time
+    from dataclasses import replace
 
-    static_ordering = sum(1 for f in report.new_findings
-                          if f.rule in _ORDERING_RULES)
-    static_conservation = sum(1 for f in report.new_findings
-                              if f.rule in _CONSERVATION_RULES)
+    from repro.harness.experiments import run_sanitize
+    from repro.harness.results import metrics_digest
+    from repro.scale.fidelity import fidelity_comparable
+    from repro.scale.regions import ScaleLayout
+    from repro.scale.shard import run_sharded
+
+    lint = gate.Gate("lint")
+    if report.exit_code:
+        lint.failures.append(
+            f"static analysis: {len(report.new_findings)} new finding(s), "
+            f"{len(report.parse_errors)} unparseable file(s)")
     runs = [{
         "params": {"case": "deep_static"},
         "seed": 0,
@@ -153,7 +166,7 @@ def _run_bench(report, seeds: int, stations: int, duration: float) -> int:
     }]
     dynamic_disagreements = 0
     dynamic_conservation_failures = 0
-    for seed in range(seeds):
+    for seed in seeds:
         metrics = run_sanitize(seed=seed, stations=stations,
                                duration_seconds=duration)
         if metrics["sanitize_ordering_agree"] != 1.0:
@@ -169,93 +182,58 @@ def _run_bench(report, seeds: int, stations: int, duration: float) -> int:
                 "sanitizer_checks", "sanitizer_stale_spans",
                 "obs_born_total")},
         })
-    static_isolation = sum(1 for f in report.new_findings
-                           if f.rule in _ISOLATION_RULES)
-    static_fidelity = sum(1 for f in report.new_findings
-                          if f.rule in _FIDELITY_RULES)
-    isolation_failures, fidelity_failures, shard_metrics = _shard_bench()
-    runs.append({
-        "params": {"case": "shard_digests", "regions": 2,
-                   "stations_per_region": 1, "duration_seconds": 10.0},
-        "seed": 0,
-        "metrics": shard_metrics,
-    })
 
-    agreement = {
-        "ordering": {
-            "static_findings": static_ordering,
-            "dynamic_disagreements": dynamic_disagreements,
-            "agree": (static_ordering == 0) == (dynamic_disagreements == 0),
-        },
-        "conservation": {
-            "static_findings": static_conservation,
-            "dynamic_failures": dynamic_conservation_failures,
-            "agree": (static_conservation == 0)
-                     == (dynamic_conservation_failures == 0),
-        },
-        "isolation": {
-            "static_findings": static_isolation,
-            "dynamic_failures": isolation_failures,
-            "agree": (static_isolation == 0) == (isolation_failures == 0),
-        },
-        "fidelity": {
-            "static_findings": static_fidelity,
-            "dynamic_failures": fidelity_failures,
-            "agree": (static_fidelity == 0) == (fidelity_failures == 0),
-        },
-    }
-    path = write_bench_json(
-        bench_json_path("lint"),
-        {"bench": "lint",
-         "spec": {"source": "python -m repro lint --deep --bench",
-                  "seeds": seeds, "stations": stations,
-                  "duration_seconds": duration},
-         "runs": runs,
-         "agreement": agreement},
-    )
-    ok = all(row["agree"] for row in agreement.values())
-    print(f"wrote {path}: " + " ".join(
-        f"{name} agree={row['agree']}"
-        for name, row in sorted(agreement.items())))
-    return 0 if ok else 1
-
-
-def _shard_bench():
-    """Dynamic twins for the isolation and fidelity rows.
-
-    A deliberately tiny layout (2 regions x 1 station, 10 simulated
-    seconds, no flow cloud) keeps the --bench smoke under a second:
-    isolation compares 1-proc vs 2-proc digests of the same layout,
-    fidelity compares per_char vs frame digests through
-    :func:`repro.scale.fidelity.fidelity_comparable`.
-    """
-    import time as _time
-    from dataclasses import replace
-
-    from repro.harness.results import metrics_digest
-    from repro.scale.fidelity import fidelity_comparable
-    from repro.scale.regions import ScaleLayout
-    from repro.scale.shard import run_sharded
-
+    # Dynamic twins of the isolation and fidelity rows: 1-proc vs 2-proc
+    # and per_char vs frame digests of one layout, small enough (2
+    # regions x 1 station, 10 simulated seconds) to take under a second.
     layout = ScaleLayout(regions=2, stations_per_region=1,
                          flow_stations=0, duration_seconds=10.0,
                          fidelity="per_char", seed=0)
-    started = _time.perf_counter()
-    single = run_sharded(layout, procs=1)
-    forked = run_sharded(layout, procs=2)
-    isolation_failures = int(metrics_digest(single)
-                             != metrics_digest(forked))
+    started = time.perf_counter()
+    shard_runs, shard_digests = lint.shard_parity(
+        layout, seeds=(0,), procs=(1, 2), label="shard ")
+    single = shard_runs[0][1]
+    isolation_failures = int(not shard_digests["identical"])
     frame = run_sharded(replace(layout, fidelity="frame"), procs=1)
     fidelity_failures = int(
         metrics_digest(fidelity_comparable(single))
         != metrics_digest(fidelity_comparable(frame)))
-    wall = _time.perf_counter() - started
-    metrics = {
-        "shard_digest_equal": float(1 - isolation_failures),
-        "fidelity_digest_equal": float(1 - fidelity_failures),
-        "events_saved_by_frame": float(
-            single.get("total/events_executed", 0.0)
-            - frame.get("total/events_executed", 0.0)),
-        "shard_bench_wall_seconds": round(wall, 3),
+    runs.append({
+        "params": {"case": "shard_digests", "regions": 2,
+                   "stations_per_region": 1, "duration_seconds": 10.0},
+        "seed": 0,
+        "metrics": {
+            "shard_digest_equal": float(1 - isolation_failures),
+            "fidelity_digest_equal": float(1 - fidelity_failures),
+            "events_saved_by_frame": float(
+                single.get("total/events_executed", 0.0)
+                - frame.get("total/events_executed", 0.0)),
+            "shard_bench_wall_seconds": round(
+                time.perf_counter() - started, 3),
+        },
+    })
+
+    def agreement_row(rules: Tuple[str, ...], dynamic: int,
+                      dynamic_key: str = "dynamic_failures") -> Dict[str, object]:
+        static = sum(1 for f in report.new_findings if f.rule in rules)
+        return {"static_findings": static, dynamic_key: dynamic,
+                "agree": (static == 0) == (dynamic == 0)}
+
+    agreement = {
+        "ordering": agreement_row(_ORDERING_RULES, dynamic_disagreements,
+                                  "dynamic_disagreements"),
+        "conservation": agreement_row(_CONSERVATION_RULES,
+                                      dynamic_conservation_failures),
+        "isolation": agreement_row(_ISOLATION_RULES, isolation_failures),
+        "fidelity": agreement_row(_FIDELITY_RULES, fidelity_failures),
     }
-    return isolation_failures, fidelity_failures, metrics
+    print(" ".join(f"{name} agree={row['agree']}"
+                   for name, row in sorted(agreement.items())))
+    lint.failures += check_agreement(agreement)
+    return lint.finish(
+        {"spec": {"source": "python -m repro lint --deep --bench",
+                  "seeds": len(seeds), "stations": stations,
+                  "duration_seconds": duration},
+         "runs": runs,
+         "agreement": agreement},
+        "static and dynamic analyses agree on every row")
