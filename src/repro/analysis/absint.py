@@ -1,9 +1,12 @@
 """Interprocedural abstract interpretation over the units lattice.
 
-This mirrors :mod:`repro.analysis.dataflow` structurally — one forward
-walker per function, per-function summaries iterated to a project
-fixpoint — but the abstract domain is the units-of-measure lattice from
-:mod:`repro.analysis.units` instead of taint origin sets.  Each local
+This is the units domain of the flow core (:mod:`repro.analysis.flow`),
+which also runs the taint domain of :mod:`repro.analysis.dataflow`:
+the core walks each function body and iterates the per-function
+summaries to a project fixpoint; this module supplies the
+units-of-measure lattice from :mod:`repro.analysis.units` and its
+transfer functions.  A ``for`` target keeps only the iterable's time
+dimension (an element of a buffer is not a byte count).  Each local
 name maps to a :class:`UVal`: the best-known dimension, a bounded
 provenance chain explaining *why* we believe it, and the set of the
 function's own parameters whose dimension flows into it (the hook for
@@ -36,15 +39,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo, ProjectInfo
+from repro.analysis.flow import ForwardWalker, fixpoint
 from repro.analysis.imports import ImportMap, call_qualname, dotted_name
 from repro.analysis import units
 from repro.analysis.units import MIXED, UNKNOWN
-
-#: Fixpoint safety valve (mirrors dataflow's; settles in 2-3 here too).
-_MAX_ITERATIONS = 10
 
 #: Provenance chains are evidence, not stack traces.
 _MAX_PROVENANCE = 5
@@ -118,6 +119,8 @@ class UnitSummary:
     params_to_sink: Mapping[int, SinkObligation] = field(default_factory=dict)
 
     def __eq__(self, other: object) -> bool:
+        # ``returns_prov`` is evidence, not a fact: comparing it could
+        # keep the fixpoint from settling.
         return (isinstance(other, UnitSummary)
                 and self.returns_dim == other.returns_dim
                 and self.returns_params == other.returns_params
@@ -134,46 +137,34 @@ class UnitEngine:
         self._hits: Dict[str, List[UnitHit]] = {}
 
     def run(self) -> None:
-        for _ in range(_MAX_ITERATIONS):
-            changed = False
-            for fn in self.project.functions.values():
-                walker = _UnitWalker(self, fn)
-                walker.run()
-                summary = walker.summary()
-                if self.summaries.get(fn.qualname) != summary:
-                    self.summaries[fn.qualname] = summary
-                    changed = True
-                self._hits[fn.qualname] = walker.deduped_hits()
-            if not changed:
-                break
+        self._hits = fixpoint(self.project.functions.values(),
+                              self._analyze, self.summaries)
 
     def hits(self, qualname: str) -> List[UnitHit]:
         return self._hits.get(qualname, [])
 
+    def _analyze(self, fn: FunctionInfo) -> Tuple[UnitSummary,
+                                                  List[UnitHit]]:
+        walker = _UnitWalker(self, fn)
+        hits = walker.run()
+        return walker.summary(), hits
 
-class _UnitWalker:
-    """One forward pass over one function body."""
+
+class _UnitWalker(ForwardWalker[UVal, UnitHit]):
+    """The units domain: dimensions with provenance and parameters."""
 
     def __init__(self, engine: UnitEngine, fn: FunctionInfo) -> None:
+        super().__init__(fn)
         self.engine = engine
-        self.fn = fn
         self.imports: ImportMap = engine.project.imports.get(
             fn.module, ImportMap())
-        self.env: Dict[str, UVal] = {}
         for index, name in enumerate(fn.params):
             dim = units.unit_for_name(name)
             prov = ((f"param '{name}' seeds {dim} (name convention)",)
                     if dim != UNKNOWN else ())
             self.env[name] = UVal(dim=dim, prov=prov,
                                   params=frozenset({index}))
-        self.hits: List[UnitHit] = []
-        self.returns: UVal = _TOP_UNKNOWN
         self.params_to_sink: Dict[int, SinkObligation] = {}
-
-    # -- driver --------------------------------------------------------
-
-    def run(self) -> None:
-        self._scan_block(getattr(self.fn.node, "body", []))
 
     def summary(self) -> UnitSummary:
         returned = self.returns
@@ -183,102 +174,39 @@ class _UnitWalker:
                            returns_prov=returned.prov,
                            params_to_sink=dict(self.params_to_sink))
 
-    def deduped_hits(self) -> List[UnitHit]:
-        seen = set()
-        out = []
-        for hit in self.hits:
-            if hit.key() in seen:
-                continue
-            seen.add(hit.key())
-            out.append(hit)
-        return out
+    # -- domain --------------------------------------------------------
 
-    # -- statements ----------------------------------------------------
+    def bottom(self) -> UVal:
+        return _TOP_UNKNOWN
 
-    def _scan_block(self, statements: Iterable[ast.stmt]) -> None:
-        for statement in statements:
-            self._scan_statement(statement)
+    def join(self, a: UVal, b: UVal) -> UVal:
+        return _join_vals(a, b)
 
-    def _scan_statement(self, node: ast.stmt) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return  # nested scopes are analyzed as their own functions
-        if isinstance(node, ast.Assign):
-            value = self._expr(node.value)
-            for target in node.targets:
-                self._assign(target, value, node)
-        elif isinstance(node, ast.AnnAssign):
-            if node.value is not None:
-                self._assign(node.target, self._expr(node.value), node)
-        elif isinstance(node, ast.AugAssign):
-            value = self._binop_value(node.op, self._read(node.target),
-                                      self._expr(node.value), node)
-            self._assign(node.target, value, node)
-        elif isinstance(node, ast.Return):
-            if node.value is not None:
-                self.returns = _join_vals(self.returns,
-                                          self._expr(node.value))
-        elif isinstance(node, ast.Expr):
-            self._expr(node.value)
-        elif isinstance(node, ast.If):
-            self._expr(node.test)
-            before = dict(self.env)
-            self._scan_block(node.body)
-            after_body = self.env
-            self.env = before
-            self._scan_block(node.orelse)
-            self._merge(after_body)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            iter_val = self._expr(node.iter)
-            element = UVal(dim=iter_val.dim
-                           if iter_val.dim in units.TIME_DIMENSIONS
-                           else UNKNOWN,
-                           prov=iter_val.prov, params=iter_val.params)
-            for _ in range(2):
-                self._assign(node.target, element, node)
-                self._scan_block(node.body)
-            self._scan_block(node.orelse)
-        elif isinstance(node, ast.While):
-            for _ in range(2):
-                self._expr(node.test)
-                self._scan_block(node.body)
-            self._scan_block(node.orelse)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                value = self._expr(item.context_expr)
-                if item.optional_vars is not None:
-                    self._assign(item.optional_vars, value, node)
-            self._scan_block(node.body)
-        elif isinstance(node, ast.Try):
-            self._scan_block(node.body)
-            for handler in node.handlers:
-                self._scan_block(handler.body)
-            self._scan_block(node.orelse)
-            self._scan_block(node.finalbody)
-        elif isinstance(node, (ast.Raise, ast.Assert)):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    self._expr(child)
+    def augmented(self, node: ast.AugAssign) -> None:
+        value = self._binop_value(node.op, self._read(node.target),
+                                  self.expr(node.value), node)
+        self.assign(node.target, value, node)
 
-    def _merge(self, other: Dict[str, UVal]) -> None:
-        for name, value in other.items():
-            if name in self.env:
-                self.env[name] = _join_vals(self.env[name], value)
-            else:
-                self.env[name] = value
+    def element(self, iterable: UVal) -> UVal:
+        return UVal(dim=iterable.dim
+                    if iterable.dim in units.TIME_DIMENSIONS else UNKNOWN,
+                    prov=iterable.prov, params=iterable.params)
+
+    def _hit(self, hit: UnitHit) -> None:
+        self.report(hit.key(), hit)
 
     # -- assignment targets --------------------------------------------
 
-    def _assign(self, target: ast.expr, value: UVal,
-                statement: ast.stmt) -> None:
+    def assign(self, target: ast.expr, value: UVal,
+               statement: ast.stmt) -> None:
         if isinstance(target, ast.Name):
             self.env[target.id] = value
             self._check_declared_store(target, target.id, value, statement)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._assign(element, _TOP_UNKNOWN, statement)
+                self.assign(element, _TOP_UNKNOWN, statement)
         elif isinstance(target, ast.Starred):
-            self._assign(target.value, _TOP_UNKNOWN, statement)
+            self.assign(target.value, _TOP_UNKNOWN, statement)
         elif isinstance(target, ast.Attribute):
             self._check_declared_store(target, target.attr, value, statement)
 
@@ -300,7 +228,7 @@ class _UnitWalker:
         size_swap = pair == {"bits", "bytes"}
         if not (time_swap or size_swap):
             return
-        self.hits.append(UnitHit(
+        self._hit(UnitHit(
             node=statement, rule="UNIT002",
             message=(f"store into '{name}' (declared {declared}) receives "
                      f"a {value.dim} value; convert explicitly at the "
@@ -316,9 +244,7 @@ class _UnitWalker:
 
     # -- expressions ---------------------------------------------------
 
-    def _expr(self, node: Optional[ast.expr]) -> UVal:
-        if node is None:
-            return _TOP_UNKNOWN
+    def expr(self, node: ast.expr) -> UVal:
         if isinstance(node, ast.Name):
             return self._name(node)
         if isinstance(node, ast.Attribute):
@@ -326,26 +252,26 @@ class _UnitWalker:
         if isinstance(node, ast.Call):
             return self._call(node)
         if isinstance(node, ast.BinOp):
-            return self._binop_value(node.op, self._expr(node.left),
-                                     self._expr(node.right), node)
+            return self._binop_value(node.op, self.expr(node.left),
+                                     self.expr(node.right), node)
         if isinstance(node, ast.UnaryOp):
-            return self._expr(node.operand)
+            return self.expr(node.operand)
         if isinstance(node, ast.IfExp):
-            self._expr(node.test)
-            return _join_vals(self._expr(node.body), self._expr(node.orelse))
+            self.expr(node.test)
+            return _join_vals(self.expr(node.body), self.expr(node.orelse))
         if isinstance(node, ast.BoolOp):
             out = _TOP_UNKNOWN
             for value in node.values:
-                out = _join_vals(out, self._expr(value))
+                out = _join_vals(out, self.expr(value))
             return out
         if isinstance(node, ast.Compare):
-            operands = [self._expr(node.left)]
-            operands += [self._expr(comp) for comp in node.comparators]
+            operands = [self.expr(node.left)]
+            operands += [self.expr(comp) for comp in node.comparators]
             self._check_comparison(node, operands)
             return _TOP_UNKNOWN  # booleans are dimensionless
         if isinstance(node, ast.Subscript):
-            container = self._expr(node.value)
-            self._expr(node.slice)
+            container = self.expr(node.value)
+            self.expr(node.slice)
             # Containers named for a time unit hold timestamps; other
             # element types (a byte of a buffer, a dict value) are not
             # recoverable from the name, so they stay unknown.
@@ -361,7 +287,7 @@ class _UnitWalker:
         out = _TOP_UNKNOWN
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
-                self._expr(child)
+                self.expr(child)
         return out
 
     def _name(self, node: ast.Name) -> UVal:
@@ -379,7 +305,7 @@ class _UnitWalker:
         return _TOP_UNKNOWN
 
     def _attribute(self, node: ast.Attribute) -> UVal:
-        self._expr(node.value)
+        self.expr(node.value)
         text = dotted_name(node)
         if text is not None:
             root, _, rest = text.partition(".")
@@ -404,7 +330,7 @@ class _UnitWalker:
         if isinstance(op, (ast.Add, ast.Sub)):
             if units.add_conflict(left.dim, right.dim):
                 word = "+" if isinstance(op, ast.Add) else "-"
-                self.hits.append(UnitHit(
+                self._hit(UnitHit(
                     node=node, rule="UNIT001",
                     message=(f"arithmetic mixes {left.dim} {word} "
                              f"{right.dim}; convert one side through "
@@ -435,7 +361,7 @@ class _UnitWalker:
         for index in range(len(dims) - 1):
             a, b = dims[index], dims[index + 1]
             if a.dim != b.dim:
-                self.hits.append(UnitHit(
+                self._hit(UnitHit(
                     node=node, rule="UNIT001",
                     message=(f"comparison mixes {a.dim} and {b.dim}; "
                              "convert one side through repro.sim.clock "
@@ -447,9 +373,9 @@ class _UnitWalker:
     # -- calls ---------------------------------------------------------
 
     def _call(self, node: ast.Call) -> UVal:
-        arg_vals = [self._expr(arg) for arg in node.args]
+        arg_vals = [self.expr(arg) for arg in node.args]
         for keyword in node.keywords:
-            self._expr(keyword.value)
+            self.expr(keyword.value)
 
         self._check_sinks(node, arg_vals)
 
@@ -525,7 +451,7 @@ class _UnitWalker:
                     and amount.dim in units.TIME_DIMENSIONS
                     and not counter.value.endswith(
                         units.COUNTER_DECLARED_SUFFIXES)):
-                self.hits.append(UnitHit(
+                self._hit(UnitHit(
                     node=node, rule="UNIT002",
                     message=(f"{amount.dim} value bumped into counter "
                              f"'{counter.value}' whose name declares no "
@@ -538,7 +464,7 @@ class _UnitWalker:
     def _apply_sink(self, node: ast.Call, value: UVal,
                     obligation: SinkObligation) -> None:
         if value.dim in obligation.forbidden:
-            self.hits.append(UnitHit(
+            self._hit(UnitHit(
                 node=node, rule="UNIT002",
                 message=(f"{value.dim} value flows into "
                          f"{obligation.target}, which requires "
@@ -570,7 +496,7 @@ class _UnitWalker:
                              obligation: SinkObligation, index: int,
                              callee: str) -> None:
         if value.dim in obligation.forbidden:
-            self.hits.append(UnitHit(
+            self._hit(UnitHit(
                 node=node, rule="UNIT002",
                 message=(f"{value.dim} value passed as argument "
                          f"{index} of {callee} reaches "

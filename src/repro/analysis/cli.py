@@ -48,7 +48,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--deep", action="store_true",
                         help="also run the whole-program passes "
                              "(call graph + dataflow: DETFLOW, RACE001, "
-                             "CONS001, FSM001)")
+                             "CONS001, FSM001, UNIT, SHARD, FID)")
     parser.add_argument("--bench", action="store_true",
                         help="with --deep: time the deep passes, run the "
                              "dynamic SimSanitizer, and write the "

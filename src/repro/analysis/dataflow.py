@@ -1,9 +1,11 @@
-"""Forward dataflow/taint engine over function ASTs.
+"""Forward dataflow/taint engine: the taint domain of the flow core.
 
-The lattice is small on purpose: each local name maps to a *set of
-origins* (powerset lattice, join = union), where an origin is either a
-true nondeterminism source (``time.time()`` observed somewhere along
-the chain) or one of the function's own parameters.  Parameter origins
+:mod:`repro.analysis.flow` walks each function body and iterates the
+project fixpoint; this module supplies the values.  The lattice is
+small on purpose: each local name maps to a *set of origins* (powerset
+lattice, join = union), where an origin is either a true
+nondeterminism source (``time.time()`` observed somewhere along the
+chain) or one of the function's own parameters.  Parameter origins
 never become findings directly — they exist so a fixpoint over the
 whole project can compute per-function summaries:
 
@@ -16,27 +18,25 @@ and the caller-side analysis can then turn "I passed a tainted value
 into parameter 2 of ``netstack.NetStack.set_stamp``" into a finding at
 the call site.
 
-Control flow is approximated, not solved exactly: branches join by
-union, loop bodies are scanned twice (enough for the loop-carried
-assignments this codebase writes), and attribute state is deliberately
-untracked — a taint *dies* at the ``self.attr`` store, which is
-exactly the point where DETFLOW reports it.
+Control flow is approximated as the core approximates it (branches
+join by union, loop bodies are scanned twice), and attribute state is
+deliberately untracked — a taint *dies* at the ``self.attr`` store,
+which is exactly the point where DETFLOW reports it.  A store a loop's
+second pass reaches again is one hit, its origins joined.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo, ProjectInfo
+from repro.analysis.flow import ForwardWalker, fixpoint
 from repro.analysis.imports import ImportMap, call_qualname
 
 #: Method names that hand a value to the discrete-event scheduler.
 SCHEDULER_METHODS = frozenset({"schedule", "at", "call_soon", "call_at"})
-
-#: Fixpoint safety valve; summaries for this codebase settle in 2-3.
-_MAX_ITERATIONS = 10
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,6 @@ class FunctionSummary:
     returns: Taint = _CLEAN
     params_to_state: Mapping[int, str] = field(default_factory=dict)
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FunctionSummary)
-                and self.returns == other.returns
-                and dict(self.params_to_state) == dict(other.params_to_state))
-
 
 class TaintEngine:
     """Runs the per-function analysis to a whole-project fixpoint."""
@@ -97,16 +92,8 @@ class TaintEngine:
 
     def run(self) -> None:
         """Iterate summaries to fixpoint, then record final sink hits."""
-        for _ in range(_MAX_ITERATIONS):
-            changed = False
-            for fn in self.project.functions.values():
-                summary, hits = self._analyze(fn)
-                if self.summaries.get(fn.qualname) != summary:
-                    self.summaries[fn.qualname] = summary
-                    changed = True
-                self._hits[fn.qualname] = hits
-            if not changed:
-                break
+        self._hits = fixpoint(self.project.functions.values(),
+                              self._analyze, self.summaries)
 
     def hits(self, qualname: str) -> List[SinkHit]:
         """Sink hits of one function (source origins only are findings)."""
@@ -125,128 +112,71 @@ class TaintEngine:
 
     def _analyze(self, fn: FunctionInfo) -> Tuple[FunctionSummary,
                                                   List[SinkHit]]:
-        walker = _FunctionWalker(self, fn)
-        walker.run()
-        return walker.summary(), walker.hits
+        walker = _TaintWalker(self, fn)
+        hits = walker.run()
+        return walker.summary(), hits
 
 
-class _FunctionWalker:
-    """One forward pass over one function body."""
+class _TaintWalker(ForwardWalker[Taint, SinkHit]):
+    """The taint domain: origin sets, joined by union."""
 
     def __init__(self, engine: TaintEngine, fn: FunctionInfo) -> None:
+        super().__init__(fn)
         self.engine = engine
-        self.fn = fn
         self.imports: ImportMap = engine.project.imports.get(fn.module,
                                                              ImportMap())
-        self.env: Dict[str, Taint] = {
+        self.env = {
             name: frozenset({Origin(kind="param", detail=name, param=index)})
             for index, name in enumerate(fn.params)
         }
-        self.hits: List[SinkHit] = []
-        self.returns: Set[Origin] = set()
         self.params_to_state: Dict[int, str] = {}
 
-    # -- driver --------------------------------------------------------
-
-    def run(self) -> None:
-        body = getattr(self.fn.node, "body", [])
-        self._scan_block(body)
-
     def summary(self) -> FunctionSummary:
-        return FunctionSummary(returns=frozenset(self.returns),
+        return FunctionSummary(returns=self.returns,
                                params_to_state=dict(self.params_to_state))
 
-    # -- statements ----------------------------------------------------
+    # -- domain --------------------------------------------------------
 
-    def _scan_block(self, statements: Iterable[ast.stmt]) -> None:
-        for statement in statements:
-            self._scan_statement(statement)
+    def bottom(self) -> Taint:
+        return _CLEAN
 
-    def _scan_statement(self, node: ast.stmt) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return  # nested scopes are analyzed as their own functions
-        if isinstance(node, ast.Assign):
-            taint = self._expr(node.value)
-            for target in node.targets:
-                self._assign(target, taint)
-        elif isinstance(node, ast.AnnAssign):
-            if node.value is not None:
-                self._assign(node.target, self._expr(node.value))
-        elif isinstance(node, ast.AugAssign):
-            taint = self._expr(node.value) | self._read(node.target)
-            self._assign(node.target, taint)
-        elif isinstance(node, ast.Return):
-            if node.value is not None:
-                taint = self._expr(node.value)
-                self.returns |= taint
-        elif isinstance(node, ast.Expr):
-            self._expr(node.value)
-        elif isinstance(node, ast.If):
-            self._expr(node.test)
-            before = dict(self.env)
-            self._scan_block(node.body)
-            after_body = self.env
-            self.env = before
-            self._scan_block(node.orelse)
-            self._merge(after_body)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            iter_taint = self._expr(node.iter)
-            # Two passes approximate the loop fixpoint.
-            for _ in range(2):
-                self._assign(node.target, iter_taint)
-                self._scan_block(node.body)
-            self._scan_block(node.orelse)
-        elif isinstance(node, ast.While):
-            for _ in range(2):
-                self._expr(node.test)
-                self._scan_block(node.body)
-            self._scan_block(node.orelse)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                taint = self._expr(item.context_expr)
-                if item.optional_vars is not None:
-                    self._assign(item.optional_vars, taint)
-            self._scan_block(node.body)
-        elif isinstance(node, ast.Try):
-            self._scan_block(node.body)
-            for handler in node.handlers:
-                self._scan_block(handler.body)
-            self._scan_block(node.orelse)
-            self._scan_block(node.finalbody)
-        elif isinstance(node, (ast.Raise, ast.Assert)):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    self._expr(child)
-        # Pass/Break/Continue/Import/Global/Nonlocal/Delete: no flow.
+    def join(self, a: Taint, b: Taint) -> Taint:
+        return a | b
 
-    def _merge(self, other: Dict[str, Taint]) -> None:
-        for name, taint in other.items():
-            self.env[name] = self.env.get(name, _CLEAN) | taint
+    def augmented(self, node: ast.AugAssign) -> None:
+        taint = self.expr(node.value) | self._read(node.target)
+        self.assign(node.target, taint, node)
+
+    def fold(self, old: SinkHit, new: SinkHit) -> SinkHit:
+        return replace(old, origins=old.origins | new.origins)
+
+    def _hit(self, hit: SinkHit) -> None:
+        self.report((hit.node, hit.sink, hit.target), hit)
 
     # -- assignment targets --------------------------------------------
 
-    def _assign(self, target: ast.expr, taint: Taint) -> None:
+    def assign(self, target: ast.expr, value: Taint,
+               statement: ast.stmt) -> None:
         if isinstance(target, ast.Name):
-            self.env[target.id] = taint
+            self.env[target.id] = value
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._assign(element, taint)
+                self.assign(element, value, statement)
         elif isinstance(target, ast.Starred):
-            self._assign(target.value, taint)
+            self.assign(target.value, value, statement)
         elif isinstance(target, ast.Attribute):
             if (isinstance(target.value, ast.Name)
-                    and target.value.id == "self" and taint):
-                self._record_state_hit(target, target.attr, taint)
+                    and target.value.id == "self" and value):
+                self._record_state_hit(target, target.attr, value)
         elif isinstance(target, ast.Subscript):
             # ``container[k] = tainted``: the container becomes tainted.
-            if isinstance(target.value, ast.Name) and taint:
+            if isinstance(target.value, ast.Name) and value:
                 base = self.env.get(target.value.id, _CLEAN)
-                self.env[target.value.id] = base | taint
+                self.env[target.value.id] = base | value
             elif (isinstance(target.value, ast.Attribute)
                   and isinstance(target.value.value, ast.Name)
-                  and target.value.value.id == "self" and taint):
-                self._record_state_hit(target, target.value.attr, taint)
+                  and target.value.value.id == "self" and value):
+                self._record_state_hit(target, target.value.attr, value)
 
     def _read(self, target: ast.expr) -> Taint:
         if isinstance(target, ast.Name):
@@ -255,41 +185,39 @@ class _FunctionWalker:
 
     def _record_state_hit(self, node: ast.AST, attr: str,
                           taint: Taint) -> None:
-        self.hits.append(SinkHit(node=node, sink="state-store",
-                                 target=f"self.{attr}", origins=taint))
+        self._hit(SinkHit(node=node, sink="state-store",
+                          target=f"self.{attr}", origins=taint))
         for origin in taint:
             if origin.kind == "param" and origin.param >= 0:
                 self.params_to_state.setdefault(origin.param, f"self.{attr}")
 
     # -- expressions ---------------------------------------------------
 
-    def _expr(self, node: Optional[ast.expr]) -> Taint:
-        if node is None:
-            return _CLEAN
+    def expr(self, node: ast.expr) -> Taint:
         if isinstance(node, ast.Name):
             return self.env.get(node.id, _CLEAN)
         if isinstance(node, ast.Call):
             return self._call(node)
         if isinstance(node, ast.Attribute):
-            return self._expr(node.value)
+            return self.expr(node.value)
         if isinstance(node, ast.Lambda):
             return _CLEAN
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
                              ast.GeneratorExp)):
             taint = _CLEAN
             for generator in node.generators:
-                taint |= self._expr(generator.iter)
+                taint |= self.expr(generator.iter)
             return taint
         # Everything else: join over child expressions.
         taint = _CLEAN
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
-                taint |= self._expr(child)
+                taint |= self.expr(child)
         return taint
 
     def _call(self, node: ast.Call) -> Taint:
-        arg_taints = [self._expr(arg) for arg in node.args]
-        kw_taints = [self._expr(kw.value) for kw in node.keywords]
+        arg_taints = [self.expr(arg) for arg in node.args]
+        kw_taints = [self.expr(kw.value) for kw in node.keywords]
         joined_args = _CLEAN
         for taint in arg_taints + kw_taints:
             joined_args |= taint
@@ -320,7 +248,7 @@ class _FunctionWalker:
             return joined_args
 
         # Unknown call: taint flows through (str(t), int(t), t.method()).
-        func_taint = (self._expr(node.func.value)
+        func_taint = (self.expr(node.func.value)
                       if isinstance(node.func, ast.Attribute) else _CLEAN)
         return joined_args | func_taint
 
@@ -334,7 +262,7 @@ class _FunctionWalker:
                 continue
             taint = arg_taints[index]
             if taint:
-                self.hits.append(SinkHit(
+                self._hit(SinkHit(
                     node=node, sink="call-arg",
                     target=f"{callee} -> {reaches}", origins=taint))
                 for origin in taint:
@@ -352,8 +280,8 @@ class _FunctionWalker:
         for taint in arg_taints + kw_taints:
             joined |= taint
         if joined:
-            self.hits.append(SinkHit(node=node, sink="event-schedule",
-                                     target=func.attr, origins=joined))
+            self._hit(SinkHit(node=node, sink="event-schedule",
+                              target=func.attr, origins=joined))
             for origin in joined:
                 if origin.kind == "param" and origin.param >= 0:
                     self.params_to_state.setdefault(

@@ -18,7 +18,11 @@ that in practice, and both are structural enough for the AST to catch:
   function (``stack_b.neighbors.append(stack_a)``,
   ``sim_a.schedule(d, stack_b.poll)``).  Regions may exchange *bytes*
   across gateway seams — never live objects; scrubbing constructors
-  (``bytes``, ``str``, ...) therefore clear the region identity.
+  (``bytes``, ``str``, ...) therefore clear the region identity.  The
+  identities are a domain of the :mod:`repro.analysis.flow` core: a
+  value built under a different Simulator on each arm of an ``if``
+  holds both afterwards, and any Simulator the owner lacks is a
+  finding.
 
 Both rules are deliberately intra-procedural about *identity* (a sim
 identity never crosses a call boundary) and whole-program about
@@ -33,6 +37,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo, ProjectInfo
 from repro.analysis.findings import Finding
+from repro.analysis.flow import ForwardWalker
 from repro.analysis.imports import dotted_name
 from repro.analysis.registry import ProjectPass, Rule, register_deep_pass
 
@@ -109,7 +114,7 @@ class ShardIsolationPass(ProjectPass):
                       graph: CallGraph) -> Iterator[Finding]:
         yield from self._shared_state(project)
         for fn in project.functions.values():
-            yield from _SimEscapeWalker(project, graph, fn).findings(self)
+            yield from _SimEscapeWalker(self, graph, fn).run()
 
     # ------------------------------------------------------------------
     # SHARD001
@@ -132,12 +137,12 @@ class ShardIsolationPass(ProjectPass):
             node = module_bindings.get(qual)
             if info is None or node is None:
                 continue
-            yield self._provenanced(
+            yield self.finding(
                 info, node, RULE_SHARED_STATE,
                 f"module-level mutable '{var}' is mutated by sim code "
                 f"({sites[0]}); interpreter history leaks across shard "
                 "re-runs — move the state onto the owning object",
-                tuple(f"mutated in {site}" for site in sites[:3]),
+                provenance=tuple(f"mutated in {site}" for site in sites[:3]),
             )
         for (cls_qual, attr), sites in sorted(class_mutations.items()):
             cls_info = project.classes.get(cls_qual)
@@ -147,13 +152,13 @@ class ShardIsolationPass(ProjectPass):
             node = class_attrs.get((cls_qual, attr), cls_info.node)
             if info is None:
                 continue
-            yield self._provenanced(
+            yield self.finding(
                 info, node, RULE_SHARED_STATE,
                 f"class-level '{cls_qual.rsplit('.', 1)[-1]}.{attr}' is "
                 f"mutated ({sites[0]}); every instance in the process "
                 "shares it, so shard digests depend on construction "
                 "history — derive the value per instance instead",
-                tuple(f"mutated in {site}" for site in sites[:3]),
+                provenance=tuple(f"mutated in {site}" for site in sites[:3]),
             )
 
     def _module_bindings(self, project: ProjectInfo) -> Dict[str, ast.stmt]:
@@ -360,108 +365,49 @@ class ShardIsolationPass(ProjectPass):
                         out.add(target.attr)
         return out
 
-    # ------------------------------------------------------------------
-
-    def _provenanced(self, module, node, rule, message,
-                     provenance) -> Finding:
-        base = self.finding(module, node, rule, message)
-        return Finding(file=base.file, line=base.line, col=base.col,
-                       rule=base.rule, severity=base.severity,
-                       message=base.message, provenance=provenance)
-
-
-class _SimEscapeWalker:
+class _SimEscapeWalker(ForwardWalker[FrozenSet[str], Finding]):
     """SHARD002: per-function Simulator identity tracking."""
 
-    def __init__(self, project: ProjectInfo, graph: CallGraph,
+    def __init__(self, lint_pass: ShardIsolationPass, graph: CallGraph,
                  fn: FunctionInfo) -> None:
-        self.project = project
+        super().__init__(fn)
+        self.lint_pass = lint_pass
         self.graph = graph
-        self.fn = fn
-        self.env: Dict[str, FrozenSet[str]] = {}
-        self.hits: List[Tuple[ast.AST, str, Tuple[str, ...]]] = []
 
-    def findings(self, owner: ShardIsolationPass) -> Iterator[Finding]:
-        self._scan(getattr(self.fn.node, "body", []))
-        seen = set()
-        for node, message, provenance in self.hits:
-            key = (getattr(node, "lineno", 0), message)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield owner._provenanced(self.fn.module_info, node,
-                                     RULE_SIM_ESCAPE, message, provenance)
+    # -- domain --------------------------------------------------------
 
-    # -- statements ----------------------------------------------------
+    def bottom(self) -> FrozenSet[str]:
+        return frozenset()
 
-    def _scan(self, statements) -> None:
-        for node in statements:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            if isinstance(node, ast.Assign):
-                sims = self._expr(node.value)
-                for target in node.targets:
-                    self._assign(target, sims, node)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                self._assign(node.target, self._expr(node.value), node)
-            elif isinstance(node, ast.AugAssign):
-                self._expr(node.value)
-            elif isinstance(node, ast.Expr):
-                self._expr(node.value)
-            elif isinstance(node, ast.Return) and node.value is not None:
-                self._expr(node.value)
-            elif isinstance(node, ast.If):
-                self._expr(node.test)
-                self._scan(node.body)
-                self._scan(node.orelse)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                self._expr(node.iter)
-                for _ in range(2):
-                    self._scan(node.body)
-                self._scan(node.orelse)
-            elif isinstance(node, ast.While):
-                for _ in range(2):
-                    self._scan(node.body)
-                self._scan(node.orelse)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    sims = self._expr(item.context_expr)
-                    if item.optional_vars is not None:
-                        self._assign(item.optional_vars, sims, node)
-                self._scan(node.body)
-            elif isinstance(node, ast.Try):
-                self._scan(node.body)
-                for handler in node.handlers:
-                    self._scan(handler.body)
-                self._scan(node.orelse)
-                self._scan(node.finalbody)
+    def join(self, a: FrozenSet[str], b: FrozenSet[str]) -> FrozenSet[str]:
+        return a | b
 
-    def _assign(self, target: ast.expr, sims: FrozenSet[str],
-                stmt: ast.stmt) -> None:
+    def augmented(self, node: ast.AugAssign) -> None:
+        self.expr(node.value)
+
+    def assign(self, target: ast.expr, value: FrozenSet[str],
+               statement: ast.stmt) -> None:
         if isinstance(target, ast.Name):
-            self.env[target.id] = sims
+            self.env[target.id] = value
         elif isinstance(target, ast.Attribute):
             # ``owned_by_a.attr = object_of_b``
-            base = self._expr(target.value)
-            self._check_mix(stmt, base, sims,
+            base = self.expr(target.value)
+            self._check_mix(statement, base, value,
                             f"stored into .{target.attr} of")
         elif isinstance(target, ast.Subscript):
-            base = self._expr(target.value)
-            self._check_mix(stmt, base, sims, "stored into container of")
+            base = self.expr(target.value)
+            self._check_mix(statement, base, value, "stored into container of")
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._assign(element, sims, stmt)
+                self.assign(element, value, statement)
 
     # -- expressions ---------------------------------------------------
 
-    def _expr(self, node: Optional[ast.expr]) -> FrozenSet[str]:
-        if node is None:
-            return frozenset()
+    def expr(self, node: ast.expr) -> FrozenSet[str]:
         if isinstance(node, ast.Name):
             return self.env.get(node.id, frozenset())
         if isinstance(node, ast.Attribute):
-            return self._expr(node.value)
+            return self.expr(node.value)
         if isinstance(node, ast.Call):
             return self._call(node)
         if isinstance(node, (ast.Lambda, ast.Constant)):
@@ -469,12 +415,12 @@ class _SimEscapeWalker:
         out: FrozenSet[str] = frozenset()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
-                out |= self._expr(child)
+                out |= self.expr(child)
         return out
 
     def _call(self, node: ast.Call) -> FrozenSet[str]:
-        arg_sims = [self._expr(arg) for arg in node.args]
-        arg_sims += [self._expr(kw.value) for kw in node.keywords]
+        arg_sims = [self.expr(arg) for arg in node.args]
+        arg_sims += [self.expr(kw.value) for kw in node.keywords]
 
         func = node.func
         if isinstance(func, ast.Name):
@@ -488,7 +434,7 @@ class _SimEscapeWalker:
 
         # Method call: the receiver's regions must cover the arguments'.
         if isinstance(func, ast.Attribute):
-            receiver = self._expr(func.value)
+            receiver = self.expr(func.value)
             joined: FrozenSet[str] = frozenset()
             for sims in arg_sims:
                 joined |= sims
@@ -511,14 +457,17 @@ class _SimEscapeWalker:
 
     def _check_mix(self, node: ast.AST, owner: FrozenSet[str],
                    value: FrozenSet[str], how: str) -> None:
-        if owner and value and owner.isdisjoint(value):
-            self.hits.append((
-                node,
-                f"object constructed under {sorted(value)[0]} {how} an "
-                f"object of {sorted(owner)[0]} (in {self.fn.qualname}); "
-                "regions exchange bytes across the gateway seam, never "
-                "live objects",
-                (f"value belongs to {', '.join(sorted(value))}",
-                 f"owner belongs to {', '.join(sorted(owner))}",
-                 f"{how.strip()} at line {getattr(node, 'lineno', 0)}"),
-            ))
+        foreign = value - owner
+        if not (owner and foreign):
+            return
+        finding = self.lint_pass.finding(
+            self.fn.module_info, node, RULE_SIM_ESCAPE,
+            f"object constructed under {sorted(foreign)[0]} {how} an "
+            f"object of {sorted(owner)[0]} (in {self.fn.qualname}); "
+            "regions exchange bytes across the gateway seam, never "
+            "live objects",
+            provenance=(
+                f"value belongs to {', '.join(sorted(value))}",
+                f"owner belongs to {', '.join(sorted(owner))}",
+                f"{how.strip()} at line {getattr(node, 'lineno', 0)}"))
+        self.report((finding.line, finding.message), finding)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from repro.analysis.dataflow import SCHEDULER_METHODS
 from repro.analysis.findings import Finding
 from repro.analysis.imports import ImportMap, call_qualname
 from repro.analysis.registry import (
@@ -46,10 +47,6 @@ RULE_SNAPSHOT = Rule(
             "deepcopy snapshot; use a bound method / keep handles off "
             "sim objects",
 )
-
-#: Scheduler entry points whose callback argument ends up inside a
-#: pending event (mirrors the names the races pass tracks).
-_SCHEDULER_METHODS = frozenset({"schedule", "call_soon", "at", "call_at"})
 
 #: Resolved call-target prefixes that return OS-level handles.
 #: Matching on the *resolved* name means ``from threading import Lock``
@@ -133,7 +130,7 @@ class SnapshotSafetyPass(LintPass):
     def _check_scheduler_call(self, module: ModuleInfo,
                               node: ast.Call) -> Iterator[Finding]:
         if not (isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SCHEDULER_METHODS):
+                and node.func.attr in SCHEDULER_METHODS):
             return
         callbacks = list(node.args)
         callbacks += [keyword.value for keyword in node.keywords

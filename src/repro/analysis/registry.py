@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Type
+from typing import Dict, Iterator, List, Tuple, Type
 
 from repro.analysis.findings import SEVERITIES, Finding
 
@@ -97,7 +97,7 @@ class ProjectPass:
         raise NotImplementedError
 
     def finding(self, module: ModuleInfo, node: ast.AST, rule: Rule,
-                message: str) -> Finding:
+                message: str, provenance: Tuple[str, ...] = ()) -> Finding:
         return Finding(
             file=module.display,
             line=getattr(node, "lineno", 1),
@@ -105,6 +105,7 @@ class ProjectPass:
             rule=rule.id,
             severity=rule.severity,
             message=message,
+            provenance=provenance,
         )
 
 

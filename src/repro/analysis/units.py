@@ -40,6 +40,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional, Tuple
 
+from repro.analysis.dataflow import SCHEDULER_METHODS
+
 #: The concrete dimensions, i.e. the atoms of the lattice.
 DIMENSIONS: Tuple[str, ...] = (
     "sim_us",        # integer simulated microseconds (engine ticks)
@@ -264,9 +266,9 @@ BYTES_LEN_NAMES: FrozenSet[str] = frozenset({
 })
 
 #: Method names that hand a *delay or absolute time* to the scheduler
-#: as their first positional argument (mirrors
-#: :data:`repro.analysis.dataflow.SCHEDULER_METHODS`).
-SCHEDULER_SINKS: FrozenSet[str] = frozenset({"schedule", "at", "call_at"})
+#: as their first positional argument: every scheduler method except
+#: ``call_soon``, which takes no time at all.
+SCHEDULER_SINKS: FrozenSet[str] = SCHEDULER_METHODS - {"call_soon"}
 
 #: Dimensions that must never reach a scheduler delay argument: the
 #: engine ticks in integer microseconds, so a float-seconds or

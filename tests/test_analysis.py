@@ -579,6 +579,23 @@ def test_detflow001_allows_diagnostic_perf_counter(tmp_path):
     assert "DETFLOW001" not in rules
 
 
+def test_detflow001_reports_a_store_in_a_loop_once(tmp_path):
+    # Loop bodies are scanned twice (nested: four times); the store is
+    # still one finding.
+    findings = _deep_findings(tmp_path, {"model.py": (
+        "import time\n"
+        "class Model:\n"
+        "    def poll(self, items):\n"
+        "        for item in items:\n"
+        "            self.stamp = time.time()\n"
+        "    def sweep(self, rows):\n"
+        "        for row in rows:\n"
+        "            for cell in row:\n"
+        "                self.seen = time.time()\n")})
+    lines = [f.line for f in findings if f.rule == "DETFLOW001"]
+    assert sorted(lines) == [5, 9]
+
+
 # ---------------------------------------------------------------- DETFLOW002
 
 def test_detflow002_flags_unsorted_view_reaching_wire(tmp_path):

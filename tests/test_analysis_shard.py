@@ -11,6 +11,8 @@ mutation, not mere mutability.
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.engine import DEFAULT_ALLOWLIST, LintEngine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -200,6 +202,35 @@ def test_shard002_flags_callback_scheduled_on_foreign_sim(tmp_path):
         "    stack_b = NetStack(sim_b)\n"
         "    sim_a.schedule(10, stack_b.poll)\n")})
     assert "SHARD002" in _rules(findings)
+
+
+def _branch_built_peer(first, second):
+    return (
+        _TWO_REGIONS_HEADER +
+        "def build(flag):\n"
+        "    sim_a = Simulator()\n"
+        "    sim_b = Simulator()\n"
+        "    stack_a = NetStack(sim_a)\n"
+        "    if flag:\n"
+        f"        peer = NetStack({first})\n"
+        "    else:\n"
+        f"        peer = NetStack({second})\n"
+        "    stack_a.neighbors.append(peer)\n")
+
+
+@pytest.mark.parametrize("first, second", [("sim_a", "sim_b"),
+                                           ("sim_b", "sim_a")])
+def test_shard002_flags_escape_on_either_branch(tmp_path, first, second):
+    # ``peer`` may belong to sim_b after the if, whichever arm builds it.
+    source = _branch_built_peer(first, second)
+    lines = source.splitlines()
+    sim_a = lines.index("    sim_a = Simulator()") + 1
+    sim_b = lines.index("    sim_b = Simulator()") + 1
+    findings = _deep_findings(tmp_path, {"regions.py": source})
+    hits = [f for f in findings if f.rule == "SHARD002"]
+    assert len(hits) == 1
+    assert f"under Simulator@{sim_b} " in hits[0].message
+    assert f"object of Simulator@{sim_a} " in hits[0].message
 
 
 def test_shard002_silent_within_one_region(tmp_path):
