@@ -63,12 +63,6 @@ class UVal:
     prov: Tuple[str, ...] = ()
     params: FrozenSet[int] = frozenset()
 
-    def with_step(self, step: str) -> "UVal":
-        if len(self.prov) >= _MAX_PROVENANCE:
-            return self
-        return UVal(dim=self.dim, prov=self.prov + (step,),
-                    params=self.params)
-
 
 _TOP_UNKNOWN = UVal()
 

@@ -110,8 +110,7 @@ class SnapshotSafetyPass(LintPass):
                     module, node, RULE_SNAPSHOT,
                     f"OS handle from {handle}() stored on {stored} does "
                     f"not survive deepcopy snapshot; keep handles off "
-                    f"sim objects (or register a reducer in "
-                    f"repro.check.snapshot)",
+                    f"sim objects",
                 )
 
     @staticmethod

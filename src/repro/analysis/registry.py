@@ -48,53 +48,11 @@ class ModuleInfo:
                    lines=source.splitlines())
 
 
-class LintPass:
-    """Base class for a family of rules.
-
-    Subclasses set :attr:`name` and :attr:`rules` and implement
-    :meth:`check`, yielding findings.  Use :meth:`finding` so the rule
-    id, severity, and node location are filled in consistently.
-    """
+class _Pass:
+    """What every pass shares: a name, its rules, and :meth:`finding`."""
 
     name: str = "pass"
     rules: tuple = ()
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding(self, module: ModuleInfo, node: ast.AST, rule: Rule,
-                message: str) -> Finding:
-        return Finding(
-            file=module.display,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule=rule.id,
-            severity=rule.severity,
-            message=message,
-        )
-
-
-class ProjectPass:
-    """Base class for whole-program (deep) passes.
-
-    Deep passes see the full :class:`~repro.analysis.callgraph.ProjectInfo`
-    symbol table and its call graph at once, instead of one module at a
-    time.  They run only under ``--deep`` because building the project
-    index costs a parse of every file plus a fixpoint — cheap enough for
-    CI, too slow for an editor keystroke.
-    """
-
-    name: str = "project-pass"
-    rules: tuple = ()
-
-    def check_project(self, project, graph) -> Iterator[Finding]:
-        """Yield findings over the whole project.
-
-        ``project`` is a :class:`~repro.analysis.callgraph.ProjectInfo`,
-        ``graph`` a :class:`~repro.analysis.callgraph.CallGraph` (typed
-        loosely here to keep registry import-light).
-        """
-        raise NotImplementedError
 
     def finding(self, module: ModuleInfo, node: ast.AST, rule: Rule,
                 message: str, provenance: Tuple[str, ...] = ()) -> Finding:
@@ -107,6 +65,40 @@ class ProjectPass:
             message=message,
             provenance=provenance,
         )
+
+
+class LintPass(_Pass):
+    """Base class for a family of rules.
+
+    Subclasses set :attr:`name` and :attr:`rules` and implement
+    :meth:`check`, yielding findings.  Use :meth:`finding` so the rule
+    id, severity, and node location are filled in consistently.
+    """
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        raise NotImplementedError
+
+
+class ProjectPass(_Pass):
+    """Base class for whole-program (deep) passes.
+
+    Deep passes see the full :class:`~repro.analysis.callgraph.ProjectInfo`
+    symbol table and its call graph at once, instead of one module at a
+    time.  They run only under ``--deep`` because building the project
+    index costs a parse of every file plus a fixpoint — cheap enough for
+    CI, too slow for an editor keystroke.
+    """
+
+    name: str = "project-pass"
+
+    def check_project(self, project, graph) -> Iterator[Finding]:
+        """Yield findings over the whole project.
+
+        ``project`` is a :class:`~repro.analysis.callgraph.ProjectInfo`,
+        ``graph`` a :class:`~repro.analysis.callgraph.CallGraph` (typed
+        loosely here to keep registry import-light).
+        """
+        raise NotImplementedError
 
 
 #: All registered pass classes, in registration order.

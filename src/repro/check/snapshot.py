@@ -9,11 +9,6 @@ That property is what the SNAP001 lint protects: a lambda or
 generator stored on sim state deepcopies by reference and would
 silently alias the original.
 
-Classes that genuinely cannot be deepcopied (an mmap, a C handle)
-register a reducer instead of poisoning every capture; none of the
-shipped sim state needs one, so the registry doubles as an inventory
-of known escape hatches.
-
 Fingerprints canonicalise a world's *behavioural* state vector --
 sorted dict items, deques as tuples, enums by value -- and hash it.
 Two states with equal fingerprints have identical futures, which is
@@ -26,37 +21,9 @@ from __future__ import annotations
 import copy
 import enum
 import hashlib
-from typing import Any, Callable, Dict, TypeVar
+from typing import Any, TypeVar
 
 T = TypeVar("T")
-
-#: class -> reducer, kept as an inventory of sanctioned escape hatches.
-#: Process-global by design, like the lint-pass registries: a reducer
-#: changes how a *class* deepcopies, which is already interpreter-wide
-#: state; nothing here ever reaches a shard's wire bytes.
-_REDUCERS: Dict[type, Callable[[Any, dict], Any]] = {}  # reprolint: disable=SHARD001 -- deepcopy-reducer registry, interpreter-wide by nature
-
-
-def register_reducer(cls: type, reducer: Callable[[Any, dict], Any]) -> None:
-    """Install ``reducer(obj, memo)`` as ``cls``'s deepcopy behaviour.
-
-    The escape hatch for state that cannot be deepcopied structurally.
-    The reducer must return an object with an equivalent future -- the
-    capturer trusts it blindly.
-    """
-
-    def _deepcopy_via_reducer(self: Any, memo: dict) -> Any:
-        replacement = reducer(self, memo)
-        memo[id(self)] = replacement
-        return replacement
-
-    cls.__deepcopy__ = _deepcopy_via_reducer  # type: ignore[attr-defined]
-    _REDUCERS[cls] = reducer
-
-
-def registered_reducers() -> Dict[type, Callable[[Any, dict], Any]]:
-    """The current reducer inventory (for tests and diagnostics)."""
-    return dict(_REDUCERS)
 
 
 class StateCapturer:
@@ -65,33 +32,22 @@ class StateCapturer:
     ``capture`` returns a frozen deep copy; ``restore`` returns a fresh
     live copy of that frozen snapshot.  Each restore is independent --
     the explorer restores the same snapshot once per branch and mutates
-    each copy freely.  Objects passed to :meth:`share` are threaded
-    through unchanged (identity-preserved) in both directions; use it
-    for genuinely ambient things (an interner, a read-only table),
-    never for mutable sim state.
+    each copy freely.
     """
 
     def __init__(self) -> None:
-        self._shared: list[Any] = []
         self.captures = 0
         self.restores = 0
-
-    def share(self, obj: Any) -> None:
-        """Exempt ``obj`` from copying: snapshots alias it directly."""
-        self._shared.append(obj)
-
-    def _memo(self) -> dict:
-        return {id(obj): obj for obj in self._shared}
 
     def capture(self, world: T) -> T:
         """Freeze the world: a deep copy sharing nothing mutable with it."""
         self.captures += 1
-        return copy.deepcopy(world, self._memo())
+        return copy.deepcopy(world)
 
     def restore(self, frozen: T) -> T:
         """A fresh live world from a frozen snapshot (never the snapshot)."""
         self.restores += 1
-        return copy.deepcopy(frozen, self._memo())
+        return copy.deepcopy(frozen)
 
 
 def canonical(value: Any) -> Any:

@@ -196,6 +196,18 @@ class FaultInjector:
             self.sim.at(spec.at, self._fire, spec, apply,
                         label=f"fault {spec.kind} {spec.target}")
 
+    def install_on_radio_world(self, plan: FaultPlan, channel: RadioChannel,
+                               gateway: object, stations: Sequence) -> None:
+        """:meth:`install` on one channel's hosts: ``gateway`` (the hub's
+        radio attachment) is the ``"gateway"`` target and every station
+        answers to its callsign, for serial/TNC faults and flaps alike."""
+        attachments = {"gateway": gateway}
+        for host in stations:
+            attachments[str(host.callsign)] = host.radio
+        self.install(plan, channel=channel, attachments=attachments,
+                     interfaces={name: attachment.interface
+                                 for name, attachment in attachments.items()})
+
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------

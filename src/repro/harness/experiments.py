@@ -36,6 +36,7 @@ from repro.workload.generators import UiChatterGenerator
 from repro.workload.scenario import (
     GeneratorMix,
     Scenario,
+    ScenarioRun,
     build_scenario,
     run_scenario,
 )
@@ -196,6 +197,19 @@ MIX_PRESETS: Dict[str, Tuple[GeneratorMix, ...]] = {
 }
 
 
+def scaled_mix(mix: str, rate_scale: float) -> Tuple[GeneratorMix, ...]:
+    """Preset ``mix`` with every component's offered rate times
+    ``rate_scale``."""
+    if mix not in MIX_PRESETS:
+        raise ValueError(f"unknown mix preset {mix!r}")
+    if rate_scale <= 0:
+        raise ValueError("rate_scale must be positive")
+    return tuple(
+        replace(component,
+                rate_per_minute=component.rate_per_minute * rate_scale)
+        for component in MIX_PRESETS[mix])
+
+
 def run_soak(
     seed: int = 0,
     stations: int = 20,
@@ -211,18 +225,9 @@ def run_soak(
     rates are sized for ~20 stations, so a 50-station population wants
     a scale well below 1 to stay on the air at 1200 bps.
     """
-    if mix not in MIX_PRESETS:
-        raise ValueError(f"unknown mix preset {mix!r}")
-    if rate_scale <= 0:
-        raise ValueError("rate_scale must be positive")
-    components = tuple(
-        replace(component,
-                rate_per_minute=component.rate_per_minute * rate_scale)
-        for component in MIX_PRESETS[mix]
-    )
     scenario = Scenario(
         name=f"soak-{mix}", topology="gateway", stations=stations,
-        duration_seconds=duration_seconds, mix=components,
+        duration_seconds=duration_seconds, mix=scaled_mix(mix, rate_scale),
         seed=seed, tnc_address_filter=address_filter,
     )
     return run_scenario(scenario)
@@ -251,19 +256,10 @@ def run_chaos(
     again.  Every metric is a pure function of (params, seed); the
     ``chaos`` CLI asserts that by digest across process layouts.
     """
-    if mix not in MIX_PRESETS:
-        raise ValueError(f"unknown mix preset {mix!r}")
-    if rate_scale <= 0:
-        raise ValueError("rate_scale must be positive")
-    components = tuple(
-        replace(component,
-                rate_per_minute=component.rate_per_minute * rate_scale)
-        for component in MIX_PRESETS[mix]
-    )
     scenario = Scenario(
         name=f"chaos-{mix}", topology="gateway", stations=stations,
-        duration_seconds=duration_seconds, mix=components, seed=seed,
-        watchdog=watchdog, shed_threshold_bytes=shed_threshold_bytes,
+        duration_seconds=duration_seconds, mix=scaled_mix(mix, rate_scale),
+        seed=seed, watchdog=watchdog, shed_threshold_bytes=shed_threshold_bytes,
     )
     ip_count = sum(1 for c in scenario.station_allocation()
                    if c.kind in ("ping", "udp", "tcp"))
@@ -300,6 +296,25 @@ OBS_MIX: Tuple[GeneratorMix, ...] = (
 )
 
 
+def with_chaos(scenario: Scenario) -> Scenario:
+    """The "chaos" variant of an obs-style scenario: the standard fault
+    schedule on the gateway and the first station, with the driver
+    watchdog and backlog shedding on."""
+    plan = chaos_plan(int(scenario.duration_seconds), gateway="gateway",
+                      stations=["WL0"])
+    return replace(scenario, fault_plan=plan, watchdog=True,
+                   shed_threshold_bytes=2048)
+
+
+def obs_conservation_ok(run: ScenarioRun) -> float:
+    """1.0 when the run's flight recorder saw packets born and every one
+    of them conserved, else 0.0."""
+    recorder = run.recorder
+    assert recorder is not None
+    conserved = recorder.conservation_ok() and recorder.born_total > 0
+    return 1.0 if conserved else 0.0
+
+
 def run_obs(
     seed: int = 0,
     variant: str = "e3",
@@ -322,17 +337,10 @@ def run_obs(
         observe=True,
     )
     if variant == "chaos":
-        plan = chaos_plan(int(duration_seconds), gateway="gateway",
-                          stations=["WL0"])
-        scenario = replace(scenario, fault_plan=plan, watchdog=True,
-                           shed_threshold_bytes=2048)
+        scenario = with_chaos(scenario)
     run = build_scenario(scenario)
     metrics = run.run()
-    recorder = run.recorder
-    assert recorder is not None
-    conserved = (recorder.conservation_ok()
-                 and recorder.born_total > 0)
-    metrics["obs_conservation_ok"] = 1.0 if conserved else 0.0
+    metrics["obs_conservation_ok"] = obs_conservation_ok(run)
     return metrics
 
 
@@ -367,10 +375,7 @@ def run_sanitize(
         sanitize=True,
     )
     if variant == "chaos":
-        plan = chaos_plan(int(duration_seconds), gateway="gateway",
-                          stations=["WL0"])
-        scenario = replace(scenario, fault_plan=plan, watchdog=True,
-                           shed_threshold_bytes=2048)
+        scenario = with_chaos(scenario)
     base = build_scenario(scenario).run()
     salted = build_scenario(replace(scenario, order_salt=order_salt)).run()
     agree = ordering_comparable(base) == ordering_comparable(salted)
@@ -476,10 +481,7 @@ def run_tournament(
             conn.stats[stat]
             for endpoint in endpoints
             for conn in endpoint.connections.values()))
-    recorder = run.recorder
-    assert recorder is not None
-    conserved = recorder.conservation_ok() and recorder.born_total > 0
-    metrics["obs_conservation_ok"] = 1.0 if conserved else 0.0
+    metrics["obs_conservation_ok"] = obs_conservation_ok(run)
     return metrics
 
 

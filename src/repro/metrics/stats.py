@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
@@ -138,6 +138,65 @@ def aggregate(values: Sequence[float]) -> Aggregate:
         ci95 = 0.0
     return Aggregate(count=count, mean=mean, stdev=stdev, ci95=ci95,
                      minimum=min(data), maximum=max(data))
+
+
+#: Every mean a metric dict reports, as ``mean: (total, count, unit)``.
+#: Producers report the integer total beside its count; collectors sum
+#: totals and counts, and the mean is derived once, after the last sum,
+#: so a merged mean is weighted by its samples, never a mean of means.
+MEANS: Dict[str, Tuple[str, str, float]] = {
+    "ping_mean_rtt_s": ("ping_rtt_total_us", "pings_received", SECOND),
+    "tcp_transfer_mean_latency_s": (
+        "tcp_transfer_latency_total_us", "transfers_completed", SECOND),
+    "channel_utilisation": ("channel_busy_us", "channel_elapsed_us", 1),
+}
+
+
+def with_means(metrics: Dict[str, float]) -> Dict[str, float]:
+    """Add every :data:`MEANS` entry whose count is non-zero; returns
+    ``metrics``."""
+    for mean, (total, count, unit) in MEANS.items():
+        if metrics.get(count):
+            metrics[mean] = metrics[total] / metrics[count] / unit
+    return metrics
+
+
+def sum_metrics(parts: Iterable[Mapping[str, float]]) -> Dict[str, float]:
+    """Sum flat metric dicts key by key, then derive the means.
+
+    Means in the parts are skipped: they are re-derived from the summed
+    totals and counts.
+    """
+    out: Dict[str, float] = {}
+    for part in parts:
+        for key, value in part.items():
+            if key not in MEANS:
+                out[key] = out.get(key, 0.0) + float(value)
+    return with_means(out)
+
+
+def world_metrics(sim: Simulator, channel, flow=None, injector=None,
+                  recorder=None) -> Dict[str, float]:
+    """The blocks every simulated world reports: its channel, flow-level
+    stations, fault injector, flight recorder (``obs_*``) and event
+    count.  Totals only; :func:`sum_metrics` derives the means."""
+    out: Dict[str, float] = {} if flow is None else flow.metrics()
+    out["channel_transmissions"] = float(channel.total_transmissions)
+    out["channel_collisions"] = float(channel.total_collisions)
+    out["channel_busy_us"] = float(channel.busy_time())
+    out["channel_elapsed_us"] = float(sim.now)
+    if injector is not None:
+        out["faults_injected"] = float(injector.faults_injected)
+        out["faults_cleared"] = float(injector.faults_cleared)
+        out["fault_bytes_corrupted"] = float(injector.bytes_corrupted)
+        out["fault_bytes_dropped"] = float(injector.bytes_dropped)
+        out["fault_garbage_bytes"] = float(injector.garbage_bytes)
+        out["channel_frames_faded"] = float(channel.frames_faded)
+    if recorder is not None:
+        for key, value in recorder.finalize_metrics().items():
+            out[f"obs_{key}"] = float(value)
+    out["events_executed"] = float(sim.events_executed)
+    return out
 
 
 class LatencyRecorder:

@@ -29,49 +29,7 @@ import gc
 import time
 from typing import Dict, List
 
-#: Two-sided 95% Student-t critical values by degrees of freedom.
-#: Hardcoded because scipy is not a dependency; above df=30 the normal
-#: approximation is within 2%.
-_T95 = {
-    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
-    6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
-    11: 2.201, 12: 2.179, 13: 2.160, 14: 2.145, 15: 2.131,
-    16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093, 20: 2.086,
-    25: 2.060, 30: 2.042,
-}
-
-
-def _t95(df: int) -> float:
-    if df <= 0:
-        return 0.0
-    if df in _T95:
-        return _T95[df]
-    for bound in (25, 30):
-        if df <= bound:
-            return _T95[bound]
-    return 1.960
-
-
-def _mean(values: List[float]) -> float:
-    return sum(values) / len(values)
-
-
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _ci95(values: List[float]) -> float:
-    """Half-width of the 95% CI of the mean; 0 for fewer than 2 samples."""
-    n = len(values)
-    if n < 2:
-        return 0.0
-    mean = _mean(values)
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return _t95(n - 1) * (variance / n) ** 0.5
+from repro.metrics.stats import aggregate, percentile
 
 
 def _session(observe: bool, ring: bool, seed: int) -> None:
@@ -172,17 +130,21 @@ def measure(rounds: int = 5, seed: int = 1,
         objects_pct.append(100.0 * (objects - baseline) / baseline)
         noise_pct.append(100.0 * (d2 - d1) / baseline)
 
+    ring = aggregate(ring_pct)
+    objects = aggregate(objects_pct)
+    noise = aggregate(noise_pct)
     return {
         "rounds": float(rounds),
-        "session_disabled_s": _mean(disabled_s),
-        "session_enabled_ring_s": _mean(ring_s),
-        "session_enabled_objects_s": _mean(objects_s),
-        "obs_enabled_overhead_pct": _mean(ring_pct),
-        "obs_enabled_overhead_median_pct": _median(ring_pct),
-        "obs_enabled_overhead_ci95_pct": _ci95(ring_pct),
-        "obs_enabled_overhead_objects_pct": _mean(objects_pct),
-        "obs_enabled_overhead_objects_median_pct": _median(objects_pct),
-        "obs_enabled_overhead_objects_ci95_pct": _ci95(objects_pct),
-        "obs_disabled_overhead_pct": _mean(noise_pct),
-        "obs_disabled_overhead_ci95_pct": _ci95(noise_pct),
+        "session_disabled_s": aggregate(disabled_s).mean,
+        "session_enabled_ring_s": aggregate(ring_s).mean,
+        "session_enabled_objects_s": aggregate(objects_s).mean,
+        "obs_enabled_overhead_pct": ring.mean,
+        "obs_enabled_overhead_median_pct": percentile(sorted(ring_pct), 0.5),
+        "obs_enabled_overhead_ci95_pct": ring.ci95,
+        "obs_enabled_overhead_objects_pct": objects.mean,
+        "obs_enabled_overhead_objects_median_pct":
+            percentile(sorted(objects_pct), 0.5),
+        "obs_enabled_overhead_objects_ci95_pct": objects.ci95,
+        "obs_disabled_overhead_pct": noise.mean,
+        "obs_disabled_overhead_ci95_pct": noise.ci95,
     }

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro.core.hosts import PcHost, make_radio_host
 from repro.core.topology import synthesize_stations
 from repro.faults import FaultInjector, FaultPlan
+from repro.metrics.stats import sum_metrics, world_metrics
 from repro.netif.ifnet import InterfaceFlags, NetworkInterface
 from repro.obs.pcap import PcapWriter
 from repro.obs.spans import FlightRecorder, SpanContext
@@ -337,15 +338,9 @@ def build_region(layout: ScaleLayout, index: int) -> Region:
 
     injector: Optional[FaultInjector] = None
     if index == 0 and layout.fault_plan is not None:
-        attachments: Dict[str, object] = {"gateway": gateway.radio}
-        interfaces: Dict[str, NetworkInterface] = {
-            "gateway": gateway.interface}
-        for host in stations:
-            attachments[str(host.callsign)] = host.radio
-            interfaces[str(host.callsign)] = host.interface
         injector = FaultInjector(sim, streams)
-        injector.install(layout.fault_plan, channel=channel,
-                         attachments=attachments, interfaces=interfaces)
+        injector.install_on_radio_world(layout.fault_plan, channel,
+                                        gateway.radio, stations)
 
     for generator in generators:
         generator.start()
@@ -362,36 +357,16 @@ def build_region(layout: ScaleLayout, index: int) -> Region:
 
 def region_metrics(region: Region) -> Dict[str, float]:
     """One region's flat end-of-run metrics (all picklable floats)."""
-    out: Dict[str, float] = {}
-    rtts: List[float] = []
-    for generator in region.generators:
-        for key, value in generator.metrics().items():
-            if key == "ping_mean_rtt_s":
-                rtts.append(value)  # means do not sum
-            else:
-                out[key] = out.get(key, 0.0) + value
-    if rtts:
-        out["ping_mean_rtt_s"] = sum(rtts) / len(rtts)
-    if region.flow is not None:
-        out.update(region.flow.metrics())
-    channel = region.channel
-    out["channel_transmissions"] = float(channel.total_transmissions)
-    out["channel_collisions"] = float(channel.total_collisions)
-    out["channel_utilisation"] = float(channel.utilisation())
+    out = sum_metrics(
+        [generator.metrics() for generator in region.generators]
+        + [world_metrics(region.sim, region.channel, region.flow,
+                         region.injector, region.recorder)])
     out["gateway_ip_forwarded"] = float(
         region.gateway.stack.counters["ip_forwarded"])
     out["link_packets_out"] = float(region.link.opackets)
     out["link_packets_in"] = float(region.link.ipackets)
-    if region.injector is not None:
-        out["faults_injected"] = float(region.injector.faults_injected)
-        out["faults_cleared"] = float(region.injector.faults_cleared)
-        out["channel_frames_faded"] = float(channel.frames_faded)
-    if region.recorder is not None:
-        for key, value in region.recorder.finalize_metrics().items():
-            out[f"obs_{key}"] = float(value)
     if region.monitor is not None:
         out["monitor_frames_heard"] = float(region.monitor.frames_heard)
-    out["events_executed"] = float(region.sim.events_executed)
     return out
 
 

@@ -24,16 +24,20 @@ worker processes yields byte-identical digests, which the scale gate
 
 The multi-process path forks one worker per shard; workers hold their
 regions for the whole run and speak a tiny message protocol over a
-pipe (``("window", barrier, inbound)`` -> outbound list,
-``("finish",)`` -> per-region metrics).
+pipe (``("window", window, inbound)`` -> outbound list,
+``("finish",)`` -> per-region dumps).  A worker that fails answers with
+a :class:`ShardWorkerError` (region, window, traceback) instead, which
+the parent raises.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.metrics.stats import sum_metrics
 from repro.obs.merge import MergedFlightView, merge_pcaps
 from repro.obs.spans import SpanContext
 from repro.scale.regions import (
@@ -51,10 +55,6 @@ OutboxEntry = Tuple[int, int, str, bytes, Optional[SpanContext]]
 #: (arrival_time, packet, span_context) ready to inject into a
 #: destination region.
 InboundEntry = Tuple[int, bytes, Optional[SpanContext]]
-
-#: Metrics whose sum across regions is meaningless; they stay
-#: per-region and (for RTT) are averaged into the totals instead.
-_NON_SUMMABLE = frozenset({"ping_mean_rtt_s", "channel_utilisation"})
 
 
 def window_count(layout: ScaleLayout) -> int:
@@ -113,25 +113,17 @@ def merge_metrics(
 ) -> Dict[str, float]:
     """Merge per-region metrics into one flat, digestable dict.
 
-    Every region keeps its own namespaced copy (``region0/...``) and
-    summable metrics also appear as ``total/...`` sums; RTT means are
-    averaged over the regions that measured one.
+    Every region keeps its own namespaced copy (``region0/...``); the
+    ``total/...`` entries are :func:`~repro.metrics.stats.sum_metrics`
+    of the regions, so merged means are weighted by their samples.
     """
     merged: Dict[str, float] = {}
-    totals: Dict[str, float] = {}
-    rtts: List[float] = []
     for index in sorted(per_region):
         for key in sorted(per_region[index]):
-            value = float(per_region[index][key])
-            merged[f"region{index}/{key}"] = value
-            if key == "ping_mean_rtt_s":
-                rtts.append(value)
-            if key not in _NON_SUMMABLE:
-                totals[key] = totals.get(key, 0.0) + value
+            merged[f"region{index}/{key}"] = float(per_region[index][key])
+    totals = sum_metrics(per_region[index] for index in sorted(per_region))
     for key in sorted(totals):
         merged[f"total/{key}"] = totals[key]
-    if rtts:
-        merged["total/ping_mean_rtt_s"] = sum(rtts) / len(rtts)
     merged["total/regions"] = float(layout.regions)
     if "total/obs_born_total" in merged:
         # The merged conservation invariant.  Per-region books balance
@@ -153,16 +145,20 @@ def merge_metrics(
 # ----------------------------------------------------------------------
 
 
+def _barrier(layout: ScaleLayout, window: int) -> int:
+    """The sim time at which ``window`` ends."""
+    return (window + 1) * layout.link_latency
+
+
 def _run_inline(layout: ScaleLayout) -> Dict[int, Dict[str, object]]:
     regions = [build_region(layout, index)
                for index in range(layout.regions)]
     inbound: Dict[int, List[InboundEntry]] = {}
     for window in range(window_count(layout)):
-        barrier = (window + 1) * layout.link_latency
         outbound: List[Tuple[int, OutboxEntry]] = []
         for region in regions:
             outbound.extend(
-                _step_window(region, barrier,
+                _step_window(region, _barrier(layout, window),
                              inbound.get(region.index, ())))
         inbound = _route(layout, outbound)
     return {region.index: region_dump(region) for region in regions}
@@ -173,26 +169,73 @@ def _run_inline(layout: ScaleLayout) -> Dict[int, Dict[str, object]]:
 # ----------------------------------------------------------------------
 
 
+class ShardWorkerError(RuntimeError):
+    """A shard worker failed: the region and window it was working on
+    (``region`` is None when the worker died without reporting, and
+    ``window`` is None while building) and the worker's traceback."""
+
+    def __init__(self, region: Optional[int], window: Optional[int],
+                 detail: str) -> None:
+        super().__init__(region, window, detail)
+        self.region = region
+        self.window = window
+        self.detail = detail
+
+    def __str__(self) -> str:
+        where = ("an unknown region" if self.region is None
+                 else f"region {self.region}")
+        when = ("while building" if self.window is None
+                else f"in window {self.window}")
+        return f"shard worker failed on {where} {when}:\n{self.detail}"
+
+
 def _worker_main(layout: ScaleLayout, owned: Tuple[int, ...], conn) -> None:
-    """One shard worker: builds its regions, then follows barriers."""
-    regions = {index: build_region(layout, index) for index in owned}
-    while True:
-        message = conn.recv()
-        if message[0] == "window":
-            _, barrier, inbound = message
+    """One shard worker: builds its regions, then follows barriers.
+
+    A failure goes back to the parent as a :class:`ShardWorkerError`;
+    the worker then stays up, reading, so the parent's next send cannot
+    fail before it has read the error, and exits when the parent
+    terminates it.  A pipe the parent has dropped ends the worker
+    quietly.
+    """
+    index: int = owned[0]
+    window: Optional[int] = None
+    try:
+        regions: Dict[int, Region] = {}
+        for index in owned:
+            regions[index] = build_region(layout, index)
+        while True:
+            message = conn.recv()
+            if message[0] == "finish":
+                dumps: Dict[int, Dict[str, object]] = {}
+                for index in owned:
+                    dumps[index] = region_dump(regions[index])
+                conn.send(dumps)
+                return
+            _, window, inbound = message
             outbound: List[Tuple[int, OutboxEntry]] = []
             for index in owned:
                 outbound.extend(
-                    _step_window(regions[index], barrier,
+                    _step_window(regions[index], _barrier(layout, window),
                                  inbound.get(index, ())))
             conn.send(outbound)
-        elif message[0] == "finish":
-            conn.send({index: region_dump(regions[index])
-                       for index in owned})
-            conn.close()
-            return
-        else:  # pragma: no cover - protocol misuse
-            raise ValueError(f"unknown shard message {message[0]!r}")
+    except (EOFError, ConnectionError):
+        return
+    except Exception:
+        failure = ShardWorkerError(index, window, traceback.format_exc())
+    try:
+        conn.send(failure)
+        while True:
+            conn.recv()
+    except (EOFError, ConnectionError):
+        return
+
+
+def _receive(conn) -> Any:
+    reply = conn.recv()
+    if isinstance(reply, ShardWorkerError):
+        raise reply
+    return reply
 
 
 def _run_processes(layout: ScaleLayout,
@@ -212,25 +255,35 @@ def _run_processes(layout: ScaleLayout,
         process.start()
         child_conn.close()
         links.append((owned, parent_conn, process))
+    window: Optional[int] = None
+    finished = False
     try:
         inbound: Dict[int, List[InboundEntry]] = {}
         for window in range(window_count(layout)):
-            barrier = (window + 1) * layout.link_latency
             for owned, conn, _process in links:
-                conn.send(("window", barrier,
+                conn.send(("window", window,
                            {index: inbound[index] for index in owned
                             if index in inbound}))
             outbound: List[Tuple[int, OutboxEntry]] = []
             for _owned, conn, _process in links:
-                outbound.extend(conn.recv())
+                outbound.extend(_receive(conn))
             inbound = _route(layout, outbound)
         per_region: Dict[int, Dict[str, object]] = {}
         for _owned, conn, _process in links:
             conn.send(("finish",))
-            per_region.update(conn.recv())
+            per_region.update(_receive(conn))
+        finished = True
+    except (EOFError, ConnectionError) as exc:
+        raise ShardWorkerError(
+            None, window,
+            f"a worker exited without reporting ({exc!r})") from None
     finally:
         for _owned, conn, process in links:
             conn.close()
+            if not finished:
+                # Forked workers hold copies of each other's pipe ends,
+                # so closing ours never reaches them as EOF.
+                process.terminate()
             process.join(timeout=60)
             if process.is_alive():  # pragma: no cover - hung worker
                 process.terminate()

@@ -10,8 +10,9 @@ examples use, so workload traffic is indistinguishable from
 hand-written scenario traffic.
 
 Every generator accumulates a :class:`~repro.metrics.counters.CounterSet`
-and reports a flat ``metrics()`` dict, which the scenario layer and the
-experiment harness aggregate.
+and reports a flat ``metrics()`` dict of totals and counts, never
+means: collectors sum them with :func:`~repro.metrics.stats.sum_metrics`,
+which derives every mean once, after the sum.
 """
 
 from __future__ import annotations
@@ -149,9 +150,7 @@ class PingGenerator(TrafficGenerator):
         out = super().metrics()
         out["pings_sent"] = float(self.pinger.sent)
         out["pings_received"] = float(self.pinger.received)
-        mean_rtt = self.pinger.mean_rtt_seconds()
-        if mean_rtt is not None:
-            out["ping_mean_rtt_s"] = mean_rtt
+        out["ping_rtt_total_us"] = float(sum(self.pinger.rtts_us))
         return out
 
 
@@ -302,10 +301,7 @@ class TcpTransferGenerator(TrafficGenerator):
                 key = f"tcp_{stat}"
                 out[key] = (out.get(key, 0.0)
                             + float(socket.connection.stats.get(stat, 0)))
-        completed = self.counters.snapshot().get("transfers_completed", 0)
-        if completed:
-            out["tcp_transfer_mean_latency_s"] = (
-                self._latency_total_us / completed / float(seconds(1)))
+        out["tcp_transfer_latency_total_us"] = float(self._latency_total_us)
         return out
 
 

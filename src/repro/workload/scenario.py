@@ -36,6 +36,7 @@ from repro.core.topology import (
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.inet.tcp import AdaptiveRto, FixedRto, NoCongestion, PacedRate, Reno
+from repro.metrics.stats import sum_metrics, world_metrics
 from repro.obs.spans import FlightRecorder
 from repro.obs.timeseries import TimeSeries
 from repro.radio.modem import ModemProfile
@@ -237,34 +238,18 @@ class ScenarioRun:
 
     def results(self) -> Dict[str, float]:
         """Aggregate generator, sink and channel metrics, flat."""
-        out: Dict[str, float] = {}
-        rtts: List[float] = []
-        latencies: List[float] = []
-        for generator in self.generators:
-            for key, value in generator.metrics().items():
-                if key == "ping_mean_rtt_s":
-                    rtts.append(value)  # means do not sum
-                elif key == "tcp_transfer_mean_latency_s":
-                    latencies.append(value)
-                else:
-                    out[key] = out.get(key, 0.0) + value
-        if rtts:
-            out["ping_mean_rtt_s"] = sum(rtts) / len(rtts)
-        if latencies:
-            out["tcp_transfer_mean_latency_s"] = (
-                sum(latencies) / len(latencies))
+        # Chaos (injector) and observe (recorder) metrics only exist when
+        # asked for, so the metric sets of plain scenarios are unchanged.
+        out = sum_metrics(
+            [generator.metrics() for generator in self.generators]
+            + [world_metrics(self.sim, self.testbed.channel, self.flow_cloud,
+                             self.injector, self.recorder)])
         if self.udp_sink is not None:
             out["udp_sink_datagrams"] = float(self.udp_sink.datagrams)
             out["udp_sink_bytes"] = float(self.udp_sink.bytes)
         if self.discard is not None:
             out["tcp_sink_connections"] = float(self.discard.connections)
             out["tcp_sink_bytes"] = float(self.discard.bytes)
-        if self.flow_cloud is not None:
-            out.update(self.flow_cloud.metrics())
-        channel = self.testbed.channel
-        out["channel_transmissions"] = float(channel.total_transmissions)
-        out["channel_collisions"] = float(channel.total_collisions)
-        out["channel_utilisation"] = float(channel.utilisation())
         gateway = getattr(self.testbed, "gateway", None)
         if gateway is not None:
             out["gateway_ip_forwarded"] = float(
@@ -279,15 +264,6 @@ class ScenarioRun:
                 gateway.radio.tnc.frames_filtered)
             out["gateway_driver_discards"] = float(
                 gateway.radio_interface.frames_not_for_us)
-        # Chaos metrics only exist when chaos was asked for, so the
-        # metric sets of pre-existing scenarios are unchanged.
-        if self.injector is not None:
-            out["faults_injected"] = float(self.injector.faults_injected)
-            out["faults_cleared"] = float(self.injector.faults_cleared)
-            out["fault_bytes_corrupted"] = float(self.injector.bytes_corrupted)
-            out["fault_bytes_dropped"] = float(self.injector.bytes_dropped)
-            out["fault_garbage_bytes"] = float(self.injector.garbage_bytes)
-            out["channel_frames_faded"] = float(channel.frames_faded)
         if self.watchdog is not None:
             out["watchdog_resets_issued"] = float(self.watchdog.resets_issued)
             out["watchdog_recoveries"] = float(self.watchdog.recoveries)
@@ -308,17 +284,11 @@ class ScenarioRun:
                 gateway.stack.counters["ip_input_drops"])
             out["gateway_if_snd_drops"] = float(
                 gateway.stack.counters["if_snd_drops"])
-        # Span/instrument metrics only exist when observe=True, so the
-        # metric sets of pre-existing scenarios are unchanged.
-        if self.recorder is not None:
-            for key, value in self.recorder.finalize_metrics().items():
-                out[f"obs_{key}"] = float(value)
         if self.timeseries is not None:
             for key, value in self.timeseries.metrics().items():
                 out[f"obs_{key}"] = float(value)
         if self.sanitizer is not None:
             out.update(self.sanitizer.finalize_metrics())
-        out["events_executed"] = float(self.sim.events_executed)
         return out
 
 
@@ -481,14 +451,9 @@ def build_scenario(scenario: Scenario) -> ScenarioRun:
     if scenario.watchdog:
         run.watchdog = primary.interface.start_watchdog(streams)
     if scenario.fault_plan is not None:
-        attachments = {"gateway": primary}
-        interfaces = {"gateway": primary.interface}
-        for host in hosts:
-            attachments[str(host.callsign)] = host.radio
-            interfaces[str(host.callsign)] = host.interface
         run.injector = FaultInjector(sim, streams, tracer=testbed.tracer)
-        run.injector.install(scenario.fault_plan, channel=testbed.channel,
-                             attachments=attachments, interfaces=interfaces)
+        run.injector.install_on_radio_world(
+            scenario.fault_plan, testbed.channel, primary, hosts)
     return run
 
 

@@ -26,6 +26,7 @@ from repro.scale.regions import (
     layout_from_scenario,
     region_metrics,
 )
+from repro.scale import shard
 from repro.scale.shard import (
     merge_metrics,
     run_sharded,
@@ -175,14 +176,59 @@ def test_uneven_region_to_worker_assignment():
 
 
 def test_merge_metrics_namespaces_and_totals():
+    """Totals sum the regions' totals and counts, then derive the means:
+    1 reply of 4 s plus 3 replies of 18 s is 22 s / 4 = 5.5 s, not the
+    mean of the two regions' means (5.0 s)."""
     merged = merge_metrics(
         ScaleLayout(regions=2),
-        {0: {"pings_sent": 2.0, "ping_mean_rtt_s": 4.0},
-         1: {"pings_sent": 3.0, "ping_mean_rtt_s": 6.0}})
+        {0: {"pings_sent": 2.0, "pings_received": 1.0,
+             "ping_rtt_total_us": 4.0 * SECOND, "ping_mean_rtt_s": 4.0,
+             "channel_busy_us": 30.0, "channel_elapsed_us": 100.0,
+             "channel_utilisation": 0.3},
+         1: {"pings_sent": 3.0, "pings_received": 3.0,
+             "ping_rtt_total_us": 18.0 * SECOND, "ping_mean_rtt_s": 6.0,
+             "channel_busy_us": 50.0, "channel_elapsed_us": 100.0,
+             "channel_utilisation": 0.5}})
     assert merged["region0/pings_sent"] == 2.0
+    assert merged["region1/ping_mean_rtt_s"] == 6.0
     assert merged["total/pings_sent"] == 5.0
-    assert merged["total/ping_mean_rtt_s"] == 5.0  # averaged, not summed
+    assert merged["total/ping_mean_rtt_s"] == 5.5
+    assert merged["total/channel_utilisation"] == 0.4
     assert "total/regions" in merged
+
+
+@pytest.mark.parametrize("window, when", [(None, "while building"),
+                                          (2, "in window 2")])
+def test_shard_worker_crash_names_region_and_window(monkeypatch, window,
+                                                    when):
+    """A worker exception reaches the parent as one ShardWorkerError
+    carrying the region, the window and the worker's traceback."""
+    layout = ScaleLayout(regions=2, stations_per_region=1,
+                         duration_seconds=5.0, drain_seconds=1.0, seed=3)
+    if window is None:
+        real_build = shard.build_region
+
+        def build_region(layout, index):
+            if index == 1:
+                raise RuntimeError("injected build failure")
+            return real_build(layout, index)
+
+        monkeypatch.setattr(shard, "build_region", build_region)
+    else:
+        real_step = shard._step_window
+
+        def step_window(region, barrier, entries):
+            if region.index == 1 and barrier == shard._barrier(layout, 2):
+                raise RuntimeError("injected step failure")
+            return real_step(region, barrier, entries)
+
+        monkeypatch.setattr(shard, "_step_window", step_window)
+    with pytest.raises(shard.ShardWorkerError) as caught:
+        run_sharded(layout, procs=2)
+    assert (caught.value.region, caught.value.window) == (1, window)
+    message = str(caught.value)
+    assert f"region 1 {when}" in message
+    assert "RuntimeError: injected" in message
 
 
 def test_layout_from_scenario_round_trip():

@@ -26,6 +26,7 @@ from repro.workload import (
     GeneratorMix,
     Scenario,
     arrival_schedule,
+    build_scenario,
     make_arrivals,
     run_scenario,
 )
@@ -128,3 +129,22 @@ def test_counters_identical_across_subprocess():
         capture_output=True, text=True, check=True, env=env, cwd=root,
     )
     assert json.loads(proc.stdout) == in_process
+
+
+def test_ping_mean_weights_every_reply():
+    """Two pingers with unequal reply counts: the scenario's mean RTT is
+    every reply's RTT over the number of replies, not a mean of the two
+    pingers' means."""
+    run = build_scenario(Scenario(
+        name="two-pingers", stations=2, duration_seconds=120.0,
+        mix=(GeneratorMix("ping", rate_per_minute=4.0),), seed=1))
+    metrics = run.run()
+    rtts = [generator.pinger.rtts_us for generator in run.generators]
+    assert len(rtts[0]) != len(rtts[1]) and all(rtts)
+    replies = sum(len(samples) for samples in rtts)
+    assert metrics["pings_received"] == replies
+    assert metrics["ping_rtt_total_us"] == sum(map(sum, rtts))
+    assert metrics["ping_mean_rtt_s"] == (
+        sum(map(sum, rtts)) / replies / SECOND)
+    mean_of_means = sum(sum(s) / len(s) for s in rtts) / 2 / SECOND
+    assert metrics["ping_mean_rtt_s"] != pytest.approx(mean_of_means)
