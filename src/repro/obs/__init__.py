@@ -22,7 +22,6 @@ from repro.obs.spans import (
     REASONS,
     FlightRecorder,
     PacketSpan,
-    SpanEvent,
     ip_flow_key,
     probe_ax25,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "Rate",
     "ReportError",
     "SimProfiler",
-    "SpanEvent",
     "TimeSeries",
     "ip_flow_key",
     "merge_pcaps",

@@ -7,12 +7,14 @@ per-region exports back into run-wide artifacts:
 
 * :class:`MergedFlightView` joins span dumps by trace id, so a packet
   that was born in one region, handed off over the inter-region link
-  and delivered in another reads as *one* trace -- ``timeline()`` and
-  ``why_dropped()`` work exactly like the single-simulator recorder's,
-  with each event tagged by the region that saw it.  The merged
-  conservation invariant is checked here: every span settles in exactly
-  one of delivered / dropped / shed / in-flight, and no handoff is left
-  dangling (serialized out of one region but never adopted by another).
+  and delivered in another reads as *one* trace, with each event tagged
+  by the region that saw it.  It is the one query surface for spans --
+  ``timeline()``, ``why_dropped()``, ``counts()`` -- and a single
+  recorder is queried as ``MergedFlightView({0: recorder.export_spans()})``.
+  The merged conservation invariant is checked here: every span settles
+  in exactly one of delivered / dropped / shed / in-flight, and no
+  handoff is left dangling (serialized out of one region but never
+  adopted by another).
 
 * :func:`merge_pcaps` interleaves the regions' captures into one
   time-ordered classic pcap.  There is nothing to deduplicate by
@@ -21,8 +23,8 @@ per-region exports back into run-wide artifacts:
   the merge asserts that.
 
 Both consume only picklable dumps (what the shard workers ship over
-their pipes), never live objects, so merging works identically for
-inline and multi-process runs.
+their pipes), never live recorders or monitors, so merging works
+identically for inline and multi-process runs.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.pcap import PcapWriter, read_pcap
-
-#: One exported span event: (time, stage, event, source, reason).
-EventTuple = Tuple[int, str, str, str, str]
+from repro.obs.spans import EventTuple
 
 _TERMINAL_STATES = ("delivered", "dropped", "shed")
 
@@ -65,10 +65,12 @@ class MergedFlightView:
 
     ``dumps`` maps region index to that region's
     :meth:`FlightRecorder.export_spans` list.  Segment states merge by
-    a simple rule: a real terminal (delivered / dropped / shed) wins
-    over ``handed_off`` and ``in_flight``; two different real terminals
-    for one trace id mark the span conflicting -- which, like a
-    dangling handoff, fails :meth:`conservation_ok`.
+    one rule: a real terminal (delivered / dropped / shed) wins;
+    otherwise a span any region still holds in flight is ``in_flight``;
+    only a span whose segments are all ``handed_off`` is a dangling
+    handoff.  Two different real terminals for one trace id mark the
+    span conflicting -- which, like a dangling handoff, fails
+    :meth:`conservation_ok`.
     """
 
     def __init__(self, dumps: Dict[int, Sequence[tuple]]) -> None:
@@ -80,14 +82,18 @@ class MergedFlightView:
                 self.segments += 1
                 span = self._spans.get(pkt_id)
                 if span is None:
+                    # Dangling until some segment settles the span or
+                    # still holds it in flight.
                     span = MergedSpan(pkt_id=pkt_id, origin=origin,
-                                      kind=kind, born_at=born_at)
+                                      kind=kind, born_at=born_at,
+                                      state="handed_off")
                     self._spans[pkt_id] = span
                 span.regions.append(region)
                 span.truncated_events += truncated
+                segment: Sequence[EventTuple] = events
                 span.events.extend(
                     (time, region, stage, event, source, event_reason)
-                    for time, stage, event, source, event_reason in events)
+                    for time, stage, event, source, event_reason in segment)
                 if state in _TERMINAL_STATES:
                     if span.state in _TERMINAL_STATES and span.state != state:
                         span.conflicting = True
@@ -95,13 +101,13 @@ class MergedFlightView:
                         span.state = state
                         span.reason = reason
                         span.done_at = done_at
-                elif state == "handed_off" and span.state == "in_flight":
-                    span.state = "handed_off"
+                elif state == "in_flight" and span.state == "handed_off":
+                    span.state = "in_flight"
         for span in self._spans.values():
             span.events.sort(key=lambda event: (event[0], event[1]))
 
     # ------------------------------------------------------------------
-    # queries (mirror the single-recorder API)
+    # queries
     # ------------------------------------------------------------------
 
     def span(self, pkt_id: int) -> Optional[MergedSpan]:

@@ -23,21 +23,20 @@ line):
   frame's AX.25 destination callsign, so bystander copies of a frame never
   terminate the real span.
 
-**Ring encoding (the hot path).**  By default the recorder does not build a
-:class:`SpanEvent` object per sighting.  Events land in a flat ring of
-integer slots -- six per record: ``(time, pkt_id, stage, event,
-source, reason)`` with the strings interned into one symbol table -- that
-grows by appending (geometric) until ``ring_slots`` records and wraps
-thereafter,
-and are materialised into rich per-span event lists lazily, at finalize or
-query time.  The per-event cost on the emission path is therefore a few
-integer stores and dict lookups instead of a dataclass allocation.  When the
-ring wraps, the oldest unmaterialised records are overwritten (counted in
-``events_overwritten``); every *counter* stays exact because terminal state,
-``pending_lost`` and the per-span event count are maintained inline.  Pass
-``ring=False`` for the original object-per-event storage -- the two modes are
-metric-identical when the ring does not wrap, which the before/after
-benchmark columns in ``BENCH_perf.json`` rely on.
+**Ring encoding (the hot path).**  Events land in a flat ring of integer
+slots -- six per record: ``(time, pkt_id, stage, event, source, reason)``
+with the strings interned into one symbol table -- that grows by
+appending (geometric) until ``ring_slots`` records and wraps thereafter,
+and are decoded into per-span :data:`EventTuple` lists lazily, at
+finalize or export time.  The per-event cost on the emission path is
+therefore a few integer stores and dict lookups.  When the ring wraps,
+the oldest undecoded records are overwritten (counted in
+``events_overwritten``); every *counter* stays exact because terminal
+state, ``pending_lost`` and the per-span event count are maintained
+inline.  Timelines and drop explanations are rendered from the export by
+:class:`~repro.obs.merge.MergedFlightView` -- one view for a single
+recorder (``MergedFlightView({0: recorder.export_spans()})``) and for a
+sharded run alike.
 
 **Cross-shard traces.**  In the sharded regional runner each region owns a
 recorder salted with a ``trace_base`` so ``pkt_id`` is globally unique.  A
@@ -75,6 +74,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: (source address value, IP identification) -- the content key that
 #: correlates one datagram across layers and hops.
 FlowKey = Tuple[int, int]
+
+#: One decoded span event: (time, stage, event, source, reason), with
+#: event one of enter | drop | shed | deliver | lost.
+EventTuple = Tuple[int, str, str, str, str]
 
 #: Compact picklable span context serialized alongside a packet crossing
 #: a shard boundary: (trace id, born_at, origin, kind, broadcast flag,
@@ -190,32 +193,14 @@ def probe_ax25(frame: bytes) -> Optional[Tuple[str, FlowKey]]:
     return (dest, key)
 
 
-@dataclass(frozen=True)
-class SpanEvent:
-    """One sighting of a packet at a stage."""
-
-    time: int
-    pkt_id: int
-    stage: str
-    event: str  # enter | drop | shed | deliver | lost
-    source: str
-    reason: str = ""
-
-    def render(self) -> str:
-        suffix = f" ({self.reason})" if self.reason else ""
-        return (f"{self.time:>12} us  {self.event:<7} "
-                f"{self.stage:<12} at {self.source}{suffix}")
-
-
 @dataclass
 class PacketSpan:
     """Everything the recorder knows about one datagram.
 
-    In ring mode ``events`` stays empty until the recorder materialises
-    the ring (finalize or a timeline query); the inline fields --
-    ``event_count``, ``last_seen``, ``pending_lost`` -- are maintained on
-    every sighting so settlement and the sanitizer's staleness census
-    never need the event objects.
+    ``events`` stays empty until the recorder decodes the ring (finalize
+    or export); the inline fields -- ``event_count``, ``last_seen``,
+    ``pending_lost`` -- are maintained on every sighting so settlement
+    and the sanitizer's staleness census never need the decoded events.
     """
 
     pkt_id: int
@@ -227,7 +212,7 @@ class PacketSpan:
     state: str = _IN_FLIGHT
     reason: str = ""
     done_at: Optional[int] = None
-    events: List[SpanEvent] = field(default_factory=list)
+    events: List[EventTuple] = field(default_factory=list)
     truncated_events: int = 0
     event_count: int = 0
     last_seen: int = 0
@@ -250,12 +235,11 @@ class FlightRecorder:
 
     ``trace_base`` salts ``pkt_id`` allocation for sharded runs (region
     ``r`` uses ``r << 40``) so trace ids stay globally unique when spans
-    migrate between recorders.  ``ring=False`` selects the legacy
-    object-per-event storage (the "before" column of the overhead bench).
+    migrate between recorders.
     """
 
     def __init__(self, tracer: "Tracer", capacity: int = 16384,
-                 max_events_per_packet: int = 96, ring: bool = True,
+                 max_events_per_packet: int = 96,
                  ring_slots: int = DEFAULT_RING_SLOTS,
                  trace_base: int = 0) -> None:
         self.tracer = tracer
@@ -309,17 +293,15 @@ class FlightRecorder:
         # conversion on the hot path.  It grows by appending until
         # ``ring_slots`` records (a short run never pays for the full
         # ring) and wraps thereafter.
-        self._ring: Optional[List[int]] = None
-        if ring:
-            if ring_slots < 1:
-                raise ValueError("ring_slots must be positive")
-            self._ring = []
-            self._ring_slots = ring_slots
-            self._ring_next = 0      # absolute index of the next record
-            self._mat_next = 0       # absolute index of the next
-            #                          not-yet-materialised record
-            self._symbols: List[str] = [""]
-            self._codes: Dict[str, int] = {"": 0}
+        if ring_slots < 1:
+            raise ValueError("ring_slots must be positive")
+        self._ring: List[int] = []
+        self._ring_slots = ring_slots
+        self._ring_next = 0      # absolute index of the next record
+        self._mat_next = 0       # absolute index of the next
+        #                          not-yet-decoded record
+        self._symbols: List[str] = [""]
+        self._codes: Dict[str, int] = {"": 0}
         tracer.flight = self
 
     @staticmethod
@@ -486,11 +468,6 @@ class FlightRecorder:
         span.last_seen = now
         span.pending_lost = reason if event == "lost" else ""
         ring = self._ring
-        if ring is None:
-            span.events.append(SpanEvent(
-                time=now, pkt_id=span.pkt_id, stage=stage,
-                event=event, source=source, reason=reason))
-            return
         codes = self._codes
         stage_code = codes.get(stage)
         if stage_code is None:
@@ -523,15 +500,13 @@ class FlightRecorder:
         return code
 
     def _materialize(self) -> None:
-        """Decode not-yet-seen ring records into per-span event lists.
+        """Decode not-yet-seen ring records into per-span event tuples.
 
         Incremental and idempotent: each record is decoded exactly once.
-        Records overwritten by a ring wrap before they were materialised
-        are permanently lost (counted in ``events_overwritten``); records
-        of evicted spans are skipped.
+        Records overwritten by a ring wrap before they were decoded are
+        permanently lost (counted in ``events_overwritten``); records of
+        evicted spans are skipped.
         """
-        if self._ring is None:
-            return
         end = self._ring_next
         start = max(self._mat_next, end - self._ring_slots)
         self.events_overwritten += start - self._mat_next
@@ -544,12 +519,10 @@ class FlightRecorder:
             span = spans.get(ring[base + 1])
             if span is None:
                 continue
-            span.events.append(SpanEvent(
-                time=ring[base], pkt_id=ring[base + 1],
-                stage=symbols[ring[base + 2]],
-                event=_EVENT_NAMES[ring[base + 3]],
-                source=symbols[ring[base + 4]],
-                reason=symbols[ring[base + 5]]))
+            span.events.append((
+                ring[base], symbols[ring[base + 2]],
+                _EVENT_NAMES[ring[base + 3]], symbols[ring[base + 4]],
+                symbols[ring[base + 5]]))
         self._mat_next = end
 
     # ------------------------------------------------------------------
@@ -593,14 +566,13 @@ class FlightRecorder:
             # post-terminal bystander copies are not path samples.
             events = events[:span.terminal_event_count]
         pairs = dict()
-        previous: Optional[SpanEvent] = None
-        for event in events:
-            if event.event not in ("enter", "deliver"):
+        previous: Optional[Tuple[int, str]] = None
+        for time, stage, event, _source, _reason in events:
+            if event not in ("enter", "deliver"):
                 continue
             if previous is not None:
-                pairs.setdefault((previous.stage, event.stage),
-                                 event.time - previous.time)
-            previous = event
+                pairs.setdefault((previous[1], stage), time - previous[0])
+            previous = (time, stage)
         for (a, b), delta in pairs.items():
             if (a, b) in _HOP_PAIR_SET:
                 self.instruments.histogram(self._hop_name(a, b)).record(delta)
@@ -616,53 +588,19 @@ class FlightRecorder:
         """All retained spans, oldest first (the SimSanitizer's census)."""
         return iter(self._spans.values())
 
-    def timeline(self, pkt_id: int) -> List[str]:
-        """Human-readable hop timeline for one packet."""
-        span = self._spans.get(pkt_id)
-        if span is None:
-            return []
-        self._materialize()
-        lines = [f"pkt {span.pkt_id} {span.kind} from {span.origin} "
-                 f"born@{span.born_at} state={span.state}"
-                 + (f" reason={span.reason}" if span.reason else "")]
-        lines.extend(event.render() for event in span.events)
-        if span.truncated_events:
-            lines.append(f"  ... {span.truncated_events} events truncated")
-        return lines
-
-    def why_dropped(self, pkt_id: int) -> Optional[str]:
-        """One-line answer to "what happened to packet N?"."""
-        span = self._spans.get(pkt_id)
-        if span is None:
-            return None
-        if span.state == _IN_FLIGHT:
-            return f"pkt {pkt_id}: still in flight"
-        if span.state == _DELIVERED:
-            return (f"pkt {pkt_id}: delivered after "
-                    f"{(span.done_at or 0) - span.born_at} us")
-        if span.state == _HANDED_OFF:
-            return (f"pkt {pkt_id}: handed off to another region at "
-                    f"{span.done_at} us")
-        self._materialize()
-        last = span.events[-1] if span.events else None
-        where = f" at {last.stage} ({last.source})" if last is not None else ""
-        return f"pkt {pkt_id}: {span.state} -- {span.reason}{where}"
-
     def export_spans(self) -> List[tuple]:
         """Compact picklable span dump for cross-process trace merging.
 
         One tuple per retained span: ``(pkt_id, key, origin, kind,
         born_at, broadcast, state, reason, done_at, events, truncated)``
-        with events as plain ``(time, stage, event, source, reason)``
-        tuples.  Materialises the ring first.
+        with events as :data:`EventTuple` lists.  Decodes the ring first.
+        Query it through :class:`~repro.obs.merge.MergedFlightView`.
         """
         self._materialize()
         return [
             (span.pkt_id, span.key, span.origin, span.kind, span.born_at,
              span.broadcast, span.state, span.reason, span.done_at,
-             [(e.time, e.stage, e.event, e.source, e.reason)
-              for e in span.events],
-             span.truncated_events)
+             list(span.events), span.truncated_events)
             for span in self._spans.values()
         ]
 
@@ -677,8 +615,7 @@ class FlightRecorder:
         drops with that reason; genuinely in-flight spans stay in flight
         (a legitimate terminal bucket for packets the end of the run
         caught mid-air).  Hop latency is fed here for every retained
-        span -- evicted spans no longer contribute hop samples, in ring
-        and object mode alike.
+        span -- evicted spans no longer contribute hop samples.
         """
         if self._finalized:
             return

@@ -3,7 +3,8 @@
 Covers the four shared steps on fake runs (layout parity for sweeps and
 shards, crash handling, the verdict and its BENCH ``failures`` list),
 every gate's own checks on synthetic records, the option errors that
-must exit 2 before any run starts, and one tiny end-to-end scale gate.
+must exit 2 before any run starts, one tiny end-to-end scale gate, and
+the single-run ``report`` CLI with and without observability.
 """
 
 from __future__ import annotations
@@ -275,3 +276,17 @@ def test_tiny_scale_gate_passes_end_to_end(tmp_path, capsys):
     assert document["fidelity"]["identical"] is True
     assert set(document["runs"]) == {"seed=1"}
     assert "scale gate passed" in capsys.readouterr().out
+
+
+def test_single_report_prints_conservation_end_to_end(capsys):
+    assert main(["repro", "report", "--variant", "e3", "--stations", "2",
+                 "--duration", "30"]) == 0
+    assert "conservation: ok" in capsys.readouterr().out
+
+
+def test_single_report_without_observability_exits_2(capsys):
+    assert main(["repro", "report", "--variant", "e3", "--stations", "2",
+                 "--duration", "30", "--no-observe"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("report: observability is disabled")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from repro.core.topology import build_figure1_testbed, build_gateway_testbed
 from repro.inet.ip import IPv4Address, IPv4Datagram
 from repro.inet.sockets import UdpSocket
 from repro.obs.instruments import Gauge, Histogram, Instruments, Rate
+from repro.obs.merge import MergedFlightView
 from repro.obs.pcap import LINKTYPE_AX25_KISS, PcapWriter, read_pcap
 from repro.obs.report import render_report
 from repro.obs.spans import FlightRecorder, ip_flow_key, probe_ax25
@@ -22,6 +24,10 @@ from repro.sim.clock import SECOND
 from repro.tools.axdump import ChannelMonitor
 
 GOLDEN_PCAP = Path(__file__).parent / "data" / "golden_monitor.pcap"
+#: finalize_metrics() and export_spans() of the seed-3 two-ping run, as
+#: recorded by the original object-per-event recorder.
+GOLDEN_RECORDED_PING = (Path(__file__).parent / "data"
+                        / "golden_recorded_ping_seed3.json")
 
 
 # ----------------------------------------------------------------------
@@ -157,12 +163,14 @@ def test_gateway_ping_spans_conserve_and_cover_every_hop():
     # The first request's span crosses every layer on the nominal path.
     span = recorder.span(1)
     assert span is not None and span.state == "delivered"
-    stages = [event.stage for event in span.events]
+    stages = [stage for _time, stage, _event, _source, _reason in span.events]
     for stage in ("born", "ip.forward", "driver.tx", "tnc.tx", "radio.tx",
                   "radio.rx", "tnc.up", "driver.rx", "ipintrq", "ip.rx",
                   "ip.deliver"):
         assert stage in stages, f"missing stage {stage}: {stages}"
-    assert "delivered" in recorder.why_dropped(1)
+    view = MergedFlightView({0: recorder.export_spans()})
+    assert "delivered" in view.why_dropped(1)
+    assert view.conservation_ok()
 
     # Per-hop histograms actually saw those transitions.
     metrics = recorder.instruments.metrics()
@@ -193,9 +201,10 @@ def test_why_dropped_names_the_shed_choke_point():
                                             range(1, recorder.born_total + 1))
                 if span is not None and span.state == "shed"]
     assert shed_ids
-    why = recorder.why_dropped(shed_ids[0])
+    view = MergedFlightView({0: recorder.export_spans()})
+    why = view.why_dropped(shed_ids[0])
     assert "shed" in why and "serial_backlog" in why
-    timeline = recorder.timeline(shed_ids[0])
+    timeline = view.timeline(shed_ids[0])
     assert any("serial_backlog" in line for line in timeline)
 
 
@@ -262,25 +271,24 @@ def test_channel_monitor_pcap_matches_golden_capture():
 # ring encoding
 # ----------------------------------------------------------------------
 
-def _run_recorded_ping(seed: int, ring: bool) -> FlightRecorder:
+def _run_recorded_ping(seed: int) -> FlightRecorder:
     testbed = build_gateway_testbed(seed=seed)
-    recorder = FlightRecorder(testbed.tracer, ring=ring)
+    recorder = FlightRecorder(testbed.tracer)
     pinger = Pinger(testbed.ether_host)
     pinger.send(testbed.PC_IP, count=2, interval=20 * SECOND)
     testbed.sim.run(until=120 * SECOND)
     return recorder
 
 
-def test_ring_and_object_recorders_are_equivalent():
-    """The flat ring is an encoding, not a behavior: identical output."""
-    ring = _run_recorded_ping(seed=3, ring=True)
-    objects = _run_recorded_ping(seed=3, ring=False)
-    assert ring.export_spans() == objects.export_spans()
-    assert ring.summary() == objects.summary()
-    assert ring.finalize_metrics() == objects.finalize_metrics()
-    for pkt_id in range(1, ring.born_total + 1):
-        assert ring.timeline(pkt_id) == objects.timeline(pkt_id)
-        assert ring.why_dropped(pkt_id) == objects.why_dropped(pkt_id)
+def test_ring_recorder_reproduces_the_reference_recording():
+    """The flat ring is an encoding, not a behavior: its metrics and span
+    export equal the golden taken from the object-per-event recorder."""
+    recorder = _run_recorded_ping(seed=3)
+    produced = {"metrics": recorder.finalize_metrics(),
+                "spans": recorder.export_spans()}
+    # JSON has no tuples; compare in its list-only form.
+    assert (json.loads(json.dumps(produced))
+            == json.loads(GOLDEN_RECORDED_PING.read_text()))
 
 
 def test_ring_wrap_counts_overwritten_and_blocks_reports():

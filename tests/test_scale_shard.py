@@ -16,7 +16,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultSpec
 from repro.harness.results import metrics_digest
-from repro.obs.merge import merge_pcaps
+from repro.obs.merge import MergedFlightView, merge_pcaps
 from repro.obs.pcap import PcapWriter, read_pcap
 from repro.scale.regions import (
     RegionGatewayLink,
@@ -306,6 +306,34 @@ def test_merged_capture_is_time_ordered_and_golden(obs_run):
     # wireline link, never a radio channel.
     assert len(set(frames)) == len(frames)
     assert obs_run.pcap == GOLDEN_SHARD_PCAP.read_bytes()
+
+
+def test_merged_view_counts_adopted_in_flight_spans_as_in_flight():
+    """A span handed off and still in flight where it was adopted is in
+    flight, not a dangling handoff: the view's buckets equal the merged
+    counters.  Only dropping the adopter's segments makes it dangle."""
+    layout = ScaleLayout(regions=2, stations_per_region=3,
+                         duration_seconds=40.0, ping_rate_per_minute=20.0,
+                         observe=True, seed=1)
+    dumps = shard._run_inline(layout)
+    metrics = merge_metrics(layout, {index: dump["metrics"]
+                                     for index, dump in dumps.items()})
+    spans = {index: dump["spans"] for index, dump in dumps.items()}
+    view = MergedFlightView(spans)
+    counts = view.counts()
+    assert metrics["total/obs_sharded_conservation_ok"] == 1.0
+    assert metrics["total/obs_in_flight"] > 0
+    for state in ("delivered", "dropped", "shed", "in_flight"):
+        assert counts[state] == metrics[f"total/obs_{state}"], state
+    assert counts["dangling_handoff"] == 0
+    assert view.conservation_ok()
+
+    handed_off = {span[0] for span in spans[0] if span[6] == "handed_off"}
+    assert handed_off
+    spans[1] = [span for span in spans[1] if span[0] not in handed_off]
+    orphaned = MergedFlightView(spans)
+    assert orphaned.counts()["dangling_handoff"] == len(handed_off)
+    assert not orphaned.conservation_ok()
 
 
 def test_merge_pcaps_rejects_duplicate_frames():
