@@ -13,6 +13,7 @@ directory, so an installed copy of the library can demonstrate itself:
     python -m repro scale ...      # multi-fidelity sharding digest gate
     python -m repro lint ...       # reprolint static-analysis gate
     python -m repro mc ...         # reprocheck model-checking gate
+    python -m repro perf ...       # perfbench A/B against another revision
     python -m repro list           # show this list
 
 The six CI gates (``chaos``, ``tournament``, ``report --bench``,
@@ -79,6 +80,13 @@ counterexamples:
     python -m repro mc
     python -m repro mc --worlds lapb2 --counterexamples
 
+``perf`` is the same-host A/B driver over ``perfbench/``: it checks a
+base revision out into a temporary git worktree, runs both trees'
+benchmark in interleaved pairs, reports medians, quartiles and wins per
+metric, and fails on any universe digest difference:
+
+    python -m repro perf --against HEAD~1 --workload soak_per_char
+
 The fuller scenarios (BBS, emergency net, NET/ROM node network, ...)
 live as scripts in the repository's examples/ directory.
 """
@@ -91,6 +99,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.analysis.cli import main as lint_main
 from repro.harness import gate
+from repro.harness.perfab import main as perf_main
 
 if TYPE_CHECKING:
     from repro.check.explorer import ExplorationResult, Violation
@@ -952,6 +961,7 @@ def _mc(argv: List[str]) -> int:
 COMMANDS: Dict[str, Callable[[List[str]], int]] = {
     "sweep": _sweep, "chaos": _chaos, "tournament": _tournament,
     "report": _report, "scale": _scale, "lint": lint_main, "mc": _mc,
+    "perf": perf_main,
 }
 
 

@@ -83,7 +83,9 @@ class KissDeframer:
     Push bytes with :meth:`push_byte` (one per simulated tty interrupt)
     or :meth:`push` (a buffer).  Completed records -- type byte plus
     unescaped payload -- are handed to ``on_frame(type_byte, payload)``
-    if given, and also collected in :attr:`frames`.
+    if given, and otherwise collected in :attr:`frames` (a callback
+    deframer keeps nothing, so a long run does not grow a record list
+    nobody reads).
 
     Malformed escape sequences drop the frame in progress and count in
     :attr:`errors` -- a driver must survive line noise, not crash.
@@ -225,9 +227,10 @@ class KissDeframer:
         if self._buffer:
             record = bytes(self._buffer)
             type_byte, payload = record[0], record[1:]
-            self.frames.append((type_byte, payload))
             if self.on_frame is not None:
                 self.on_frame(type_byte, payload)
+            else:
+                self.frames.append((type_byte, payload))
         self._reset()
 
     def _discard(self) -> None:

@@ -80,19 +80,26 @@ class SerialEndpoint:
         once when the last byte would have landed).  Returns the
         absolute time the last byte lands.
         """
-        sim = self.line.sim
+        line = self.line
+        sim = line.sim
+        byte_time = line.byte_time
         start = max(sim.now, self._tx_free_at)
-        completion = start + len(data) * self.line.byte_time
-        if self.line.fidelity == "frame" and (
+        completion = start + len(data) * byte_time
+        label = f"serial {self.name}"
+        if line.fidelity == "frame" and (
                 self.peer is None or self.peer.rx_fault is None):
             if data:
                 sim.at(completion, self._deliver_burst, bytes(data),
-                       label=f"serial {self.name}")
+                       label=label)
         else:
-            for index, byte in enumerate(data):
-                arrival = start + (index + 1) * self.line.byte_time
-                sim.at(arrival, self._deliver, byte,
-                       label=f"serial {self.name}")
+            # One event per byte, each through ``sim.at`` (which tracers
+            # patch); only the per-write constants are hoisted.
+            at = sim.at
+            deliver = self._deliver
+            arrival = start
+            for byte in data:
+                arrival += byte_time
+                at(arrival, deliver, byte, label=label)
         self._tx_free_at = completion
         self.bytes_sent += len(data)
         if self.on_backlog_sample is not None:

@@ -2,7 +2,10 @@
 
 A :class:`Simulator` owns a priority queue of :class:`Event` objects and
 executes them in timestamp order.  Ties are broken by insertion order,
-which keeps runs fully deterministic.  There are no threads: a "device"
+which keeps runs fully deterministic.  The queue holds ``(time, seq,
+event)`` tuples, so ``heapq`` orders entries by comparing C tuples;
+``seq`` is unique, so the third slot is never compared and
+:class:`Event` itself is unordered.  There are no threads: a "device"
 in this reproduction is just an object whose methods schedule further
 events.
 
@@ -15,6 +18,7 @@ handlers and timeouts one-for-one.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import format_time
@@ -60,16 +64,6 @@ class Event:
         """True while the event is still queued and not cancelled."""
         return not self.cancelled
 
-    def __lt__(self, other: "Event") -> bool:
-        # The ordering key (time, seq) is a *total* order: ``seq`` is
-        # unique per simulator (monotonic at registration), so no two
-        # events ever compare equal and heap order cannot depend on
-        # heap-internal tie handling.  Cancellation never touches the
-        # key — a cancelled event keeps its slot and is skipped at pop,
-        # so it cannot reorder the surviving equal-time events either.
-        # (Audited for PR 5; regression: test_same_timestamp_total_order.)
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         name = self.label or getattr(self.fn, "__qualname__", repr(self.fn))
@@ -90,13 +84,21 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        # Heap of (time, seq, event).  The (time, seq) prefix is a total
+        # order: ``seq`` is unique per simulator, so two entries never
+        # tie and the event slot is never compared -- were that ever
+        # broken, the heap would raise TypeError (Event defines no
+        # ordering) rather than misorder silently.  Cancellation never
+        # touches the key: a cancelled entry keeps its slot and is
+        # skipped at pop, so it cannot reorder equal-time survivors.
+        self._queue: list[tuple[int, Any, Event]] = []
         self._seq = 0
         self._now = 0
         self._running = False
         self._events_executed = 0
         #: Optional SimProfiler (repro.obs.profile); like tracer.flight,
         #: a single attribute that keeps the off-cost to one None test.
+        #: :meth:`run` reads it once per call, so attach it before running.
         self.profiler = None
 
     # ------------------------------------------------------------------
@@ -110,13 +112,17 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
-        """Total number of events dispatched so far (for diagnostics)."""
+        """Total number of events dispatched so far (for diagnostics).
+
+        :meth:`run` adds its count when it returns, so a callback reading
+        this mid-run sees the total before the run in progress.
+        """
         return self._events_executed
 
     @property
     def events_pending(self) -> int:
         """Number of not-yet-cancelled events still in the queue."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _time, _seq, event in self._queue if not event.cancelled)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -152,8 +158,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {format_time(time)}; now is {format_time(self._now)}"
             )
-        event = Event(time, self._next_seq(time), fn, args, kwargs, label=label)
-        heapq.heappush(self._queue, event)
+        seq = self._next_seq(time)
+        event = Event(time, seq, fn, args, kwargs, label)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def _next_seq(self, time: int):
@@ -163,8 +170,9 @@ class Simulator:
         (FIFO) order among equal-time events.  The SimSanitizer's
         shuffle simulator overrides this to perturb *cross-instant*
         ties while preserving FIFO among events scheduled in the same
-        instant; any override must keep keys unique and totally ordered
-        or :meth:`Event.__lt__` stops being a total order.
+        instant; any override must keep keys unique and totally ordered,
+        or the heap falls through to comparing :class:`Event` objects
+        and raises ``TypeError``.
         """
         self._seq += 1
         return self._seq
@@ -192,15 +200,15 @@ class Simulator:
         Cancelled events are pruned from the head of the queue as a side
         effect, exactly as :meth:`step` would.
         """
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        if not self._queue:
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        if not queue:
             return []
-        head_time = self._queue[0].time
-        chosen = [event for event in self._queue
-                  if not event.cancelled and event.time == head_time]
-        chosen.sort(key=lambda event: event.seq)
-        return chosen
+        head_time = queue[0][0]
+        return [event for time, _seq, event in sorted(
+                    entry for entry in queue if entry[0] == head_time)
+                if not event.cancelled]
 
     def pending_events(self) -> "list[Event]":
         """Every not-yet-cancelled queued event, in no particular order.
@@ -208,17 +216,19 @@ class Simulator:
         Read-only diagnostics: reprocheck folds the pending set (as
         now-relative times plus labels) into its state fingerprint.
         """
-        return [event for event in self._queue if not event.cancelled]
+        return [event for _time, _seq, event in self._queue if not event.cancelled]
 
     def is_queued(self, event: Event) -> bool:
         """True while ``event`` sits in this simulator's queue.
 
-        Identity-based on purpose: a fired event keeps ``cancelled ==
-        False`` but leaves the queue, and reprocheck's stuck-FSM
+        Identity-based on purpose (``Event`` defines no ``__eq__``, so
+        the entry's third slot matches only this very event): a fired
+        event keeps ``cancelled == False`` but leaves the queue, and
+        reprocheck's stuck-FSM
         invariant needs to tell "armed timer" apart from "stale
         reference to a timer that already fired".
         """
-        return any(queued is event for queued in self._queue)
+        return (event.time, event.seq, event) in self._queue
 
     def step_event(self, event: Event) -> None:
         """Execute one specific pending head event (exploration only).
@@ -231,7 +241,7 @@ class Simulator:
         if event.cancelled:
             raise SimulationError(f"cannot step cancelled event {event!r}")
         try:
-            self._queue.remove(event)
+            self._queue.remove((event.time, event.seq, event))
         except ValueError:
             raise SimulationError(f"event {event!r} is not queued here") from None
         heapq.heapify(self._queue)
@@ -253,7 +263,7 @@ class Simulator:
         Returns False when the queue is empty (nothing was run).
         """
         while self._queue:
-            event = heapq.heappop(self._queue)
+            _time, _seq, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
             self._now = event.time
@@ -274,25 +284,31 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
+        queue = self._queue
+        heappop = heapq.heappop
+        profiler = self.profiler
+        # Sentinels instead of two ``is not None`` tests per event.  An
+        # infinite horizon compares exactly with int times, and a budget
+        # of 0 or below runs nothing because the test is ``<``.
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         executed = 0
         try:
-            while self._queue:
-                if max_events is not None and executed >= max_events:
-                    break
-                head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
+            while queue and executed < budget:
+                time, _seq, event = queue[0]
+                if event.cancelled:
+                    heappop(queue)
                     continue
-                if until is not None and head.time > until:
+                if time > horizon:
                     break
-                heapq.heappop(self._queue)
-                self._now = head.time
-                self._events_executed += 1
+                heappop(queue)
+                self._now = time
                 executed += 1
-                if self.profiler is not None:
-                    self.profiler.count(head)
-                head.fn(*head.args, **head.kwargs)
+                if profiler is not None:
+                    profiler.count(event)
+                event.fn(*event.args, **event.kwargs)
         finally:
+            self._events_executed += executed
             self._running = False
         if until is not None and self._now < until:
             self._now = until

@@ -131,6 +131,22 @@ def test_deframer_callback_invoked():
     assert seen == [(0x21, b"zz")]
 
 
+def test_callback_deframer_retains_no_records():
+    """A deframer with a callback hands records on and keeps none: a
+    long run must not grow a list nobody reads."""
+    seen = []
+    deframer = KissDeframer(on_frame=lambda t, p: seen.append(p))
+    for index in range(100):
+        record = frame(0x00, bytes([index]) * 8)
+        if index % 2:
+            deframer.push(record)
+        else:
+            for byte in record:
+                deframer.push_byte(byte)
+    assert len(seen) == 100
+    assert deframer.frames == []
+
+
 @given(st.lists(st.binary(min_size=1, max_size=64), max_size=8),
        st.integers(min_value=0, max_value=15))
 def test_deframer_stream_property(payloads, command):

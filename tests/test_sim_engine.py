@@ -6,6 +6,7 @@ import pytest
 
 from repro.sim.clock import SECOND
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.sanitizer import OrderShuffleSimulator
 
 
 def test_events_run_in_time_order(sim):
@@ -169,12 +170,13 @@ def test_determinism_same_schedule_same_order():
 
 
 def test_same_timestamp_total_order():
-    """PR 5 tie-break audit: (time, seq) stays a total order at scale.
+    """The heap's (time, seq) entry prefix stays a total order at scale.
 
     1000 events on one timestamp must run in exact registration order,
     identically across fresh simulators, and interleaved cancellation
-    must not reorder the survivors (a cancelled event keeps its heap
-    slot and is skipped at pop, never re-keyed).
+    must not reorder the survivors (a cancelled entry keeps its heap
+    slot and is skipped at pop, never re-keyed).  ``Event`` has no
+    ordering of its own: only the unique ``seq`` breaks ties.
     """
     def run_once(cancel_every=None):
         sim = Simulator()
@@ -211,3 +213,84 @@ def test_cancellation_during_dispatch_keeps_equal_time_order():
         events.append(sim.at(500, order.append, index))
     sim.run_until_idle()
     assert order == ["head", 0, 1, 3, 4]
+
+
+def test_events_are_unordered():
+    """The heap compares (time, seq) only; comparing events is an error."""
+    sim = Simulator()
+    first = sim.at(10, lambda: None)
+    second = sim.at(10, lambda: None)
+    with pytest.raises(TypeError):
+        first < second
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_run_with_non_positive_budget_executes_nothing(sim, budget):
+    fired = []
+    sim.schedule(1, fired.append, "a")
+    assert sim.run(max_events=budget) == 0
+    assert fired == []
+    assert sim.events_executed == 0
+    assert sim.events_pending == 1
+
+
+def _tie_heavy_schedule(sim, order):
+    """1000 events on 20 timestamps, some spawning same-instant work."""
+    def fire(index):
+        order.append(index)
+        if index % 7 == 0:
+            sim.call_soon(order.append, -index)
+
+    for index in range(1000):
+        sim.at((index * 13) % 20 * 50, fire, index)
+
+
+def test_chunked_runs_compose_to_one_run():
+    """Back-to-back ``run(until=...)`` calls give the same order as one
+    ``run()``: a horizon chunk may end on a tie without reordering it."""
+    whole_sim = Simulator()
+    whole = []
+    _tie_heavy_schedule(whole_sim, whole)
+    whole_sim.run()
+
+    chunked_sim = Simulator()
+    chunked = []
+    _tie_heavy_schedule(chunked_sim, chunked)
+    executed = 0
+    for until in range(0, 1001, 25):
+        executed += chunked_sim.run(until=until)
+    assert chunked == whole
+    assert executed == chunked_sim.events_executed == whole_sim.events_executed
+    assert chunked_sim.now == 1000
+
+
+def test_order_shuffle_keys_keep_same_instant_fifo():
+    """Tuple seqs fill the entry's middle slot: equal-time events
+    registered in one instant still run FIFO."""
+    sim = OrderShuffleSimulator(order_salt=3)
+    order = []
+    for index in range(100):
+        sim.at(500, order.append, index)
+    sim.run()
+    assert order == list(range(100))
+
+
+def test_exploration_hooks_skip_cancelled_entries(sim):
+    fired = []
+    first = sim.at(10, fired.append, "first")
+    second = sim.at(10, fired.append, "second")
+    third = sim.at(10, fired.append, "third")
+    later = sim.at(20, fired.append, "later")
+    first.cancel()
+    third.cancel()
+    assert sim.head_events() == [second]
+    assert not sim.is_queued(first)  # pruned from the head by head_events
+    assert sim.is_queued(third)      # cancelled but still holding its slot
+    assert sim.is_queued(later)
+    with pytest.raises(SimulationError):
+        sim.step_event(third)
+    sim.step_event(second)
+    assert fired == ["second"]
+    assert not sim.is_queued(second)
+    assert sim.head_events() == [later]
+    assert sim.pending_events() == [later]
