@@ -15,7 +15,10 @@ measurements: the driver refuses with exit 2.  Both trees are
 byte-compiled first, so set-up probes do not pay a compile that only one
 tree has paid already.  For every end-to-end metric it reports each
 side's median and quartiles, the ratio of the medians, the mean per-pair
-ratio with its 95% CI, and how many pairs the change won.  Every
+ratio with its 95% CI, how many pairs the change won, and a verdict:
+``better`` or ``worse`` only when one side won at least nine tenths of
+the pairs and the medians differ by more than the base's quartile
+spread.  Every
 universe digest of every run must equal the first base run's, matched
 by ``workload/seed/universe``: a speedup must not change what is
 simulated.  Exit 0 when every run is correct and every digest matches,
@@ -36,7 +39,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.metrics.stats import aggregate, percentile
 
@@ -70,6 +73,7 @@ class MetricRow:
     change_median: float
     change_quartiles: Tuple[float, float]
     wins: int
+    losses: int
     pairs: int
     ratio_mean: float
     ratio_ci95: float
@@ -80,14 +84,19 @@ class MetricRow:
 
     @property
     def verdict(self) -> str:
-        """``better``/``worse`` when the medians differ by more than the
-        base's own quartile spread, ``same`` when equal, else ``noise``."""
+        """``better``/``worse`` when one side won at least nine tenths of
+        the pairs and the medians differ by more than the base's own
+        quartile spread; ``same`` when the medians are equal; else
+        ``noise``."""
         delta = self.change_median - self.base_median
         if delta == 0:
             return "same"
-        if abs(delta) <= self.base_quartiles[1] - self.base_quartiles[0]:
-            return "noise"
-        return "better" if (delta > 0) == (self.better == "higher") else "worse"
+        if abs(delta) > self.base_quartiles[1] - self.base_quartiles[0]:
+            if self.wins >= 0.9 * self.pairs:
+                return "better"
+            if self.losses >= 0.9 * self.pairs:
+                return "worse"
+        return "noise"
 
 
 def parse_run(stdout: str) -> Run:
@@ -126,10 +135,7 @@ def pair_order(index: int) -> Tuple[str, str]:
 def digest_problems(runs: Sequence[Tuple[str, int, Run]]) -> List[str]:
     """Every run's universe digests against the first base run's."""
     problems = []
-    reference: Optional[Dict[str, str]] = None
-    for side, index, run in runs:
-        if side == BASE and reference is None:
-            reference = run.digests
+    reference = next((run.digests for side, _i, run in runs if side == BASE), {})
     for side, index, run in runs:
         where = f"{side} run of pair {index}"
         if not run.correct:
@@ -137,7 +143,7 @@ def digest_problems(runs: Sequence[Tuple[str, int, Run]]) -> List[str]:
         if not run.digests:
             problems.append(f"{where}: no universe digests")
         for key, value in sorted(run.digests.items()):
-            expected = (reference or {}).get(key)
+            expected = reference.get(key)
             if expected is None:
                 problems.append(f"{where}: {key} has no base digest")
             elif value != expected:
@@ -158,8 +164,9 @@ def metric_rows(base: Sequence[Run], change: Sequence[Run],
             continue
         base_sorted = sorted(b for b, _c in pairs)
         change_sorted = sorted(c for _b, c in pairs)
-        wins = sum(1 for b, c in pairs
-                   if (c > b if better == "higher" else c < b))
+        higher = better == "higher"
+        wins = sum(1 for b, c in pairs if b != c and (c > b) == higher)
+        losses = sum(1 for b, c in pairs if b != c and (c > b) != higher)
         ratios = aggregate([c / b if b else 1.0 for b, c in pairs])
         rows.append(MetricRow(
             name=name, better=better,
@@ -169,7 +176,7 @@ def metric_rows(base: Sequence[Run], change: Sequence[Run],
             change_median=percentile(change_sorted, 0.5),
             change_quartiles=(percentile(change_sorted, 0.25),
                               percentile(change_sorted, 0.75)),
-            wins=wins, pairs=len(pairs), ratio_mean=ratios.mean, ratio_ci95=ratios.ci95))
+            wins=wins, losses=losses, pairs=len(pairs), ratio_mean=ratios.mean, ratio_ci95=ratios.ci95))
     return rows
 
 
@@ -306,7 +313,6 @@ def main(argv: List[str]) -> int:
             return _compare({BASE: base_root, CHANGE: ROOT}, args)
         finally:
             git("worktree", "remove", "--force", str(base_root))
-            git("worktree", "prune")
 
 
 def _compare(trees: Dict[str, Path], args: argparse.Namespace) -> int:

@@ -73,31 +73,44 @@ def test_pairs_alternate_which_tree_goes_first():
         (BASE, 2), (CHANGE, 2), (CHANGE, 3), (BASE, 3)]
 
 
+def runs_of(*rates, rtt=5.5):
+    return [perfab.parse_run(canned(rate, rtt=rtt)) for rate in rates]
+
+
 def test_rows_report_medians_quartiles_ratio_and_wins():
-    base = [perfab.parse_run(canned(rate)) for rate in (100, 104, 96, 102, 98)]
-    change = [perfab.parse_run(canned(rate))
-              for rate in (150, 90, 152, 148, 151)]
+    base = runs_of(100, 104, 96, 102, 98)
+    change = runs_of(150, 149, 152, 148, 151)
     rows = {row.name: row for row in perfab.metric_rows(base, change, DIRECTIONS)}
     rate = rows["station_sim_s_per_wall_s"]
     assert rate.base_median == 100 and rate.change_median == 150
     assert rate.base_quartiles == (98, 102)
-    assert rate.change_quartiles == (148, 151)
+    assert rate.change_quartiles == (149, 151)
     assert rate.median_ratio == 1.5
-    assert (rate.wins, rate.pairs) == (4, 5)  # pair 1: 90 < 104
+    assert (rate.wins, rate.losses, rate.pairs) == (5, 0, 5)
     assert rate.verdict == "better"
     rtt = rows["ping_rtt_p50_s"]
-    assert (rtt.wins, rtt.verdict, rtt.median_ratio) == (0, "same", 1.0)
+    assert (rtt.wins, rtt.losses, rtt.verdict, rtt.median_ratio) == \
+        (0, 0, "same", 1.0)
+
+
+def test_verdict_needs_nine_tenths_of_the_pairs():
+    base = runs_of(100, 104, 96, 102, 98)
+    one_loss = runs_of(150, 90, 152, 148, 151)  # pair 1: 90 < 104
+    (row, _rtt) = perfab.metric_rows(base, one_loss, DIRECTIONS)
+    assert (row.wins, row.losses) == (4, 1)
+    assert row.verdict == "noise"
 
 
 def test_verdict_needs_more_than_the_base_quartile_spread():
-    base = [perfab.parse_run(canned(rate)) for rate in (90, 100, 110)]
-    within = [perfab.parse_run(canned(rate)) for rate in (95, 105, 115)]
+    base = runs_of(90, 100, 110)
+    within = runs_of(95, 105, 115)
     (row, _rtt) = perfab.metric_rows(base, within, DIRECTIONS)
+    assert row.wins == 3
     assert row.verdict == "noise"
-    slower = [perfab.parse_run(canned(rate)) for rate in (60, 70, 80)]
+    slower = runs_of(60, 70, 80)
     (row, _rtt) = perfab.metric_rows(base, slower, DIRECTIONS)
     assert row.verdict == "worse"
-    higher_rtt = [perfab.parse_run(canned(100, rtt=9.0)) for _ in range(3)]
+    higher_rtt = runs_of(100, 100, 100, rtt=9.0)
     rows = perfab.metric_rows(base, higher_rtt, DIRECTIONS)
     assert rows[1].verdict == "worse"  # lower is better for a latency
 
