@@ -4,9 +4,9 @@
 temporary ``git worktree``, then runs each tree's own
 ``perfbench/run.py`` on one workload and seed in interleaved pairs,
 alternating which tree goes first so that a drift of the host's speed
-falls on both sides alike::
+falls on both sides alike.  It always runs :data:`PAIRS` pairs::
 
-    python -m repro perf --against HEAD~1 --workload soak_per_char --pairs 10
+    python -m repro perf --against HEAD~1 --workload soak_per_char
     python -m repro perf --against HEAD      # A-vs-A: the noise floor
 
 Both trees must carry the same benchmark (``perfbench/`` and
@@ -18,8 +18,7 @@ side's median and quartiles, the ratio of the medians, the mean per-pair
 ratio with its 95% CI, how many pairs the change won, and a verdict:
 ``better`` or ``worse`` only when one side won at least nine tenths of
 the pairs and the medians differ by more than the base's quartile
-spread.  Every
-universe digest of every run must equal the first base run's, matched
+spread.  Every universe digest of every run must equal the first base run's, matched
 by ``workload/seed/universe``: a speedup must not change what is
 simulated.  Exit 0 when every run is correct and every digest matches,
 1 otherwise.
@@ -51,6 +50,9 @@ BENCHMARK_FILES = ("perfbench", "BENCHMARK.json")
 
 BASE, CHANGE = "base", "change"
 
+#: Pairs per A/B: a claimed gain needs at least nine wins in ten pairs.
+PAIRS = 10
+
 
 @dataclass(frozen=True)
 class Run:
@@ -67,7 +69,6 @@ class MetricRow:
     """One end-to-end metric over all pairs."""
 
     name: str
-    better: str
     base_median: float
     base_quartiles: Tuple[float, float]
     change_median: float
@@ -87,11 +88,11 @@ class MetricRow:
         """``better``/``worse`` when one side won at least nine tenths of
         the pairs and the medians differ by more than the base's own
         quartile spread; ``same`` when the medians are equal; else
-        ``noise``."""
+        ``noise``, as always on fewer than :data:`PAIRS` pairs."""
         delta = self.change_median - self.base_median
         if delta == 0:
             return "same"
-        if abs(delta) > self.base_quartiles[1] - self.base_quartiles[0]:
+        if self.pairs >= PAIRS and abs(delta) > self.base_quartiles[1] - self.base_quartiles[0]:
             if self.wins >= 0.9 * self.pairs:
                 return "better"
             if self.losses >= 0.9 * self.pairs:
@@ -169,14 +170,15 @@ def metric_rows(base: Sequence[Run], change: Sequence[Run],
         losses = sum(1 for b, c in pairs if b != c and (c > b) != higher)
         ratios = aggregate([c / b if b else 1.0 for b, c in pairs])
         rows.append(MetricRow(
-            name=name, better=better,
+            name=name,
             base_median=percentile(base_sorted, 0.5),
             base_quartiles=(percentile(base_sorted, 0.25),
                             percentile(base_sorted, 0.75)),
             change_median=percentile(change_sorted, 0.5),
             change_quartiles=(percentile(change_sorted, 0.25),
                               percentile(change_sorted, 0.75)),
-            wins=wins, losses=losses, pairs=len(pairs), ratio_mean=ratios.mean, ratio_ci95=ratios.ci95))
+            wins=wins, losses=losses, pairs=len(pairs),
+            ratio_mean=ratios.mean, ratio_ci95=ratios.ci95))
     return rows
 
 
@@ -294,10 +296,7 @@ def main(argv: List[str]) -> int:
                         help="base revision (any git revision name)")
     parser.add_argument("--workload", default="soak_per_char")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     workloads = [entry["name"] for entry in benchmark_spec(ROOT)["workloads"]]
     if args.workload not in workloads:
         parser.error(f"unknown workload {args.workload!r}; choose from "
@@ -323,9 +322,9 @@ def _compare(trees: Dict[str, Path], args: argparse.Namespace) -> int:
         return 2
     for root in trees.values():
         compile_tree(root)
-    print(f"perf: {args.workload} seed {args.seed}, {args.pairs} pair(s): "
+    print(f"perf: {args.workload} seed {args.seed}, {PAIRS} pairs: "
           f"base {args.against} vs this tree", flush=True)
-    runs = run_pairs(trees, args.pairs,
+    runs = run_pairs(trees, PAIRS,
                      perfbench_runner(args.workload, args.seed),
                      progress=lambda line: print(line, flush=True))
     table, problems = report(runs, directions_of(benchmark_spec(trees[CHANGE])))

@@ -24,12 +24,13 @@ line):
   terminate the real span.
 
 **Ring encoding (the hot path).**  Events land in a flat ring of integer
-slots -- six per record: ``(time, pkt_id, stage, event, source, reason)``
-with the strings interned into one symbol table -- that grows by
-appending (geometric) until ``ring_slots`` records and wraps thereafter,
-and are decoded into per-span :data:`EventTuple` lists lazily, at
-finalize or export time.  The per-event cost on the emission path is
-therefore a few integer stores and dict lookups.  When the ring wraps,
+slots -- three per record: ``(time, pkt_id, site)``, where a *site* is
+one ``(stage, event, source, reason)`` tuple interned into a site table
+(a run has a few dozen) -- that grows by appending (geometric) until
+``ring_slots`` records and wraps thereafter, and are decoded into
+per-span :data:`EventTuple` lists lazily, at finalize or export time.
+The per-event cost on the emission path is therefore two dict lookups
+(span, site) and three integer stores.  When the ring wraps,
 the oldest undecoded records are overwritten (counted in
 ``events_overwritten``); every *counter* stays exact because terminal
 state, ``pending_lost`` and the per-span event count are maintained
@@ -59,8 +60,10 @@ datagram, broadcast copies) count as benign ``duplicate_terminals``.
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.ax25.defs import PID_ARPA_IP
@@ -132,13 +135,8 @@ _HANDED_OFF = "handed_off"
 
 _LOSS_STATES = (_DROPPED, _SHED)
 
-#: Event kinds are a closed set, so they get fixed codes rather than
-#: symbol-table entries.
-_EVENT_NAMES = ("enter", "drop", "shed", "deliver", "lost")
-_EVENT_CODE = {name: code for code, name in enumerate(_EVENT_NAMES)}
-
-#: Integer slots per ring record: time, pkt_id, stage, event, source, reason.
-_RECORD_WIDTH = 6
+#: Integer slots per ring record: time, pkt_id, site.
+_RECORD_WIDTH = 3
 
 #: Default ring capacity in records.  Sized so none of the repository's
 #: gates wrap (an instrumented chaos soak records a few hundred thousand
@@ -147,12 +145,22 @@ _RECORD_WIDTH = 6
 DEFAULT_RING_SLOTS = 1 << 19
 
 
-def ip_flow_key(packet: bytes) -> Optional[FlowKey]:
-    """Extract the correlation key from raw IPv4 bytes, or None."""
-    if len(packet) < 20 or (packet[0] >> 4) != 4:
+#: IPv4 identification (offset 4) and source address (offset 12).
+_IP_KEY_FIELDS = struct.Struct(">4xH6xI")
+
+#: Byte ``b`` -> ``b >> 1``: AX.25 callsign characters are stored shifted.
+_UNSHIFT = bytes(b >> 1 for b in range(256))
+
+
+def ip_flow_key(packet: bytes, offset: int = 0) -> Optional[FlowKey]:
+    """Extract the correlation key from raw IPv4 bytes, or None.
+
+    ``offset`` is where the IP header starts in ``packet``, so a caller
+    holding a whole frame needs no copy of its payload.
+    """
+    if len(packet) - offset < 20 or (packet[offset] >> 4) != 4:
         return None
-    source = int.from_bytes(packet[12:16], "big")
-    ident = int.from_bytes(packet[4:6], "big")
+    ident, source = _IP_KEY_FIELDS.unpack_from(packet, offset)
     return (source, ident)
 
 
@@ -165,17 +173,17 @@ def probe_ax25(frame: bytes) -> Optional[Tuple[str, FlowKey]]:
     probes decide whether a copy of the frame is headed *to them* and
     therefore span-relevant.
     """
-    end = -1
+    size = len(frame)
     # Address blocks are 7 bytes; the extension bit (bit 0 of the SSID
     # byte) terminates the field.  Cap at 10 blocks: dest + src + 8 digis.
-    for block in range(10):
-        index = block * 7 + 6
-        if index >= len(frame):
+    for end in range(6, 10 * 7, 7):
+        if end >= size:
             return None
-        if frame[index] & 0x01:
-            end = index
+        if frame[end] & 0x01:
             break
-    if end < 0 or end + 1 >= len(frame):
+    else:
+        return None
+    if end + 1 >= size:
         return None
     control = frame[end + 1]
     # PID follows the control byte only on I-frames (bit 0 clear) and
@@ -184,13 +192,18 @@ def probe_ax25(frame: bytes) -> Optional[Tuple[str, FlowKey]]:
         return None
     if end + 2 >= len(frame) or frame[end + 2] != PID_ARPA_IP:
         return None
-    key = ip_flow_key(frame[end + 3:])
+    key = ip_flow_key(frame, end + 3)
     if key is None:
         return None
-    callsign = "".join(chr(b >> 1) for b in frame[:6]).strip()
-    ssid = (frame[6] >> 1) & 0x0F
-    dest = callsign if ssid == 0 else f"{callsign}-{ssid}"
-    return (dest, key)
+    return (_destination_text(frame[:7]), key)
+
+
+@lru_cache(maxsize=256)
+def _destination_text(block: bytes) -> str:
+    """``str(AX25Address)`` of a non-repeated 7-byte address block."""
+    callsign = block[:6].translate(_UNSHIFT).decode("latin-1").strip()
+    ssid = (block[6] >> 1) & 0x0F
+    return callsign if ssid == 0 else f"{callsign}-{ssid}"
 
 
 @dataclass
@@ -256,7 +269,7 @@ class FlightRecorder:
         self.instruments.histogram("watchdog_recovery_us")
         self.instruments.gauge("ipintrq_depth")
         self.instruments.gauge("gateway_serial_backlog")
-        self.instruments.rate("born_per_10s", 10 * SECOND)
+        self._born_rate = self.instruments.rate("born_per_10s", 10 * SECOND)
         # Recovery-state instruments, fed by the TCP and LAPB layers:
         # gauges track each connection's timer/window as they evolve,
         # the rates count retransmissions in 10-second windows so a
@@ -269,7 +282,9 @@ class FlightRecorder:
 
         self._next_pkt_id = trace_base + 1
         self._spans: "OrderedDict[int, PacketSpan]" = OrderedDict()
-        self._by_key: Dict[FlowKey, int] = {}
+        #: The live span of each flow key (the latest on ident reuse);
+        #: an evicted span leaves this map with its ``_spans`` entry.
+        self._by_key: Dict[FlowKey, PacketSpan] = {}
         self.born_total = 0
         self.delivered = 0
         self.dropped = 0
@@ -278,7 +293,6 @@ class FlightRecorder:
         self.adopted = 0
         self.duplicate_terminals = 0
         self.conservation_violations = 0
-        self.events_recorded = 0
         self.events_truncated = 0
         self.events_overwritten = 0
         self.spans_evicted = 0
@@ -287,12 +301,11 @@ class FlightRecorder:
         self._finalized = False
 
         # Flat event ring: _RECORD_WIDTH int slots per record, one
-        # shared symbol table for stage/source/reason strings.  ``""``
-        # is symbol 0 so an absent reason costs nothing to intern.  A
-        # plain list beats array("q") here: no per-store int/C
-        # conversion on the hot path.  It grows by appending until
-        # ``ring_slots`` records (a short run never pays for the full
-        # ring) and wraps thereafter.
+        # shared table of (stage, event, source, reason) sites.  A plain
+        # list beats array("q") here: no per-store int/C conversion on
+        # the hot path.  It grows by appending until ``ring_slots``
+        # records (a short run never pays for the full ring) and wraps
+        # thereafter.
         if ring_slots < 1:
             raise ValueError("ring_slots must be positive")
         self._ring: List[int] = []
@@ -300,9 +313,17 @@ class FlightRecorder:
         self._ring_next = 0      # absolute index of the next record
         self._mat_next = 0       # absolute index of the next
         #                          not-yet-decoded record
-        self._symbols: List[str] = [""]
-        self._codes: Dict[str, int] = {"": 0}
+        self._sites: List[Tuple[str, str, str, str]] = []
+        self._site_codes: Dict[Tuple[str, str, str, str], int] = {}
+        # The last frame :meth:`probe` parsed, and what it found.
+        self._probed_frame: Optional[bytes] = None
+        self._probed: Optional[Tuple[str, FlowKey]] = None
         tracer.flight = self
+
+    @property
+    def events_recorded(self) -> int:
+        """Every sighting reported to a live span, stored or truncated."""
+        return self._ring_next + self.events_truncated
 
     @staticmethod
     def _hop_name(a: str, b: str) -> str:
@@ -328,10 +349,10 @@ class FlightRecorder:
             broadcast=datagram.destination.is_broadcast,
         )
         self._spans[pkt_id] = span
-        self._by_key[key] = pkt_id  # latest span wins on ident reuse
+        self._by_key[key] = span  # latest span wins on ident reuse
         self.born_total += 1
         self.born_by_origin[origin] = self.born_by_origin.get(origin, 0) + 1
-        self.instruments.rate("born_per_10s", 10 * SECOND).tick(self.sim.now)
+        self._born_rate.tick(self.sim.now)
         self._record(span, "born", "enter", origin)
         if len(self._spans) > self.capacity:
             self._evict_oldest()
@@ -341,7 +362,7 @@ class FlightRecorder:
         _, evicted = self._spans.popitem(last=False)
         if evicted.state == _IN_FLIGHT:
             self._terminate(evicted, _DROPPED, "evicted")
-        if self._by_key.get(evicted.key) == evicted.pkt_id:
+        if self._by_key.get(evicted.key) is evicted:
             del self._by_key[evicted.key]
         self.spans_evicted += 1
 
@@ -363,7 +384,7 @@ class FlightRecorder:
         key = ip_flow_key(packet)
         if key is None:
             return None
-        span = self._lookup(key)
+        span = self._by_key.get(key)
         if span is None or span.state != _IN_FLIGHT:
             return None
         self._record(span, stage, "enter", source)
@@ -388,7 +409,7 @@ class FlightRecorder:
             born_at=born_at, broadcast=bool(broadcast),
         )
         self._spans[pkt_id] = span
-        self._by_key[key] = pkt_id
+        self._by_key[key] = span
         self.adopted += 1
         self._record(span, stage, "enter", source)
         if len(self._spans) > self.capacity:
@@ -399,11 +420,26 @@ class FlightRecorder:
     # event recording (bytes-level and key-level)
     # ------------------------------------------------------------------
 
+    def probe(self, frame: bytes) -> Optional[Tuple[str, FlowKey]]:
+        """:func:`probe_ax25`, remembered for the last frame probed.
+
+        One transmission is probed where its TNC takes it from the host,
+        where the channel keys and unkeys, and at every TNC that hears
+        it -- all with the same ``bytes`` object, so a check by identity
+        spares the repeats.
+        """
+        if frame is not self._probed_frame:
+            self._probed = probe_ax25(frame)
+            self._probed_frame = frame
+        return self._probed
+
     def enter(self, packet: bytes, stage: str, source: str) -> None:
         """Non-terminal sighting of raw IP bytes at a stage."""
         key = ip_flow_key(packet)
         if key is not None:
-            self.enter_key(key, stage, source)
+            span = self._by_key.get(key)
+            if span is not None:
+                self._record(span, stage, "enter", source)
 
     def drop(self, packet: bytes, stage: str, source: str, reason: str) -> None:
         """Terminal drop of raw IP bytes (first terminal wins)."""
@@ -416,7 +452,7 @@ class FlightRecorder:
         """Terminal load-shed of raw IP bytes."""
         key = ip_flow_key(packet)
         if key is not None:
-            span = self._lookup(key)
+            span = self._by_key.get(key)
             if span is not None:
                 self._record(span, stage, "shed", source, reason)
                 self._settle(span, _SHED, reason)
@@ -428,76 +464,52 @@ class FlightRecorder:
             self.deliver_key(key, source)
 
     def enter_key(self, key: FlowKey, stage: str, source: str) -> None:
-        span = self._lookup(key)
+        span = self._by_key.get(key)
         if span is not None:
             self._record(span, stage, "enter", source)
 
     def lost_key(self, key: FlowKey, stage: str, source: str,
                  reason: str) -> None:
         """Observational loss: recorded now, settled at finalize."""
-        span = self._lookup(key)
+        span = self._by_key.get(key)
         if span is not None:
             self._record(span, stage, "lost", source, reason)
 
     def drop_key(self, key: FlowKey, stage: str, source: str,
                  reason: str) -> None:
-        span = self._lookup(key)
+        span = self._by_key.get(key)
         if span is not None:
             self._record(span, stage, "drop", source, reason)
             self._settle(span, _DROPPED, reason)
 
     def deliver_key(self, key: FlowKey, source: str) -> None:
-        span = self._lookup(key)
+        span = self._by_key.get(key)
         if span is not None:
             self._record(span, "ip.deliver", "deliver", source)
             self._settle(span, _DELIVERED, "")
 
-    def _lookup(self, key: FlowKey) -> Optional[PacketSpan]:
-        pkt_id = self._by_key.get(key)
-        return None if pkt_id is None else self._spans.get(pkt_id)
-
     def _record(self, span: PacketSpan, stage: str, event: str, source: str,
                 reason: str = "") -> None:
-        self.events_recorded += 1
-        if span.event_count >= self.max_events_per_packet:
+        count = span.event_count
+        if count >= self.max_events_per_packet:
             span.truncated_events += 1
             self.events_truncated += 1
             return
-        span.event_count += 1
-        now = self.sim.now
-        span.last_seen = now
+        span.event_count = count + 1
+        span.last_seen = now = self.sim.now
         span.pending_lost = reason if event == "lost" else ""
-        ring = self._ring
-        codes = self._codes
-        stage_code = codes.get(stage)
-        if stage_code is None:
-            stage_code = self._intern(stage)
-        source_code = codes.get(source)
-        if source_code is None:
-            source_code = self._intern(source)
-        reason_code = 0
-        if reason:
-            reason_code = codes.get(reason)
-            if reason_code is None:
-                reason_code = self._intern(reason)
-        base = (self._ring_next % self._ring_slots) * _RECORD_WIDTH
-        if base == len(ring):  # still growing toward ring_slots records
-            ring.extend((now, span.pkt_id, stage_code, _EVENT_CODE[event],
-                         source_code, reason_code))
+        site = (stage, event, source, reason)
+        code = self._site_codes.get(site)
+        if code is None:
+            code = self._site_codes[site] = len(self._sites)
+            self._sites.append(site)
+        index = self._ring_next
+        self._ring_next = index + 1
+        if index < self._ring_slots:  # still growing toward ring_slots
+            self._ring += (now, span.pkt_id, code)
         else:
-            ring[base] = now
-            ring[base + 1] = span.pkt_id
-            ring[base + 2] = stage_code
-            ring[base + 3] = _EVENT_CODE[event]
-            ring[base + 4] = source_code
-            ring[base + 5] = reason_code
-        self._ring_next += 1
-
-    def _intern(self, text: str) -> int:
-        code = len(self._symbols)
-        self._symbols.append(text)
-        self._codes[text] = code
-        return code
+            base = (index % self._ring_slots) * _RECORD_WIDTH
+            self._ring[base:base + _RECORD_WIDTH] = (now, span.pkt_id, code)
 
     def _materialize(self) -> None:
         """Decode not-yet-seen ring records into per-span event tuples.
@@ -512,17 +524,14 @@ class FlightRecorder:
         self.events_overwritten += start - self._mat_next
         ring = self._ring
         slots = self._ring_slots
-        symbols = self._symbols
+        sites = self._sites
         spans = self._spans
         for index in range(start, end):
             base = (index % slots) * _RECORD_WIDTH
             span = spans.get(ring[base + 1])
             if span is None:
                 continue
-            span.events.append((
-                ring[base], symbols[ring[base + 2]],
-                _EVENT_NAMES[ring[base + 3]], symbols[ring[base + 4]],
-                symbols[ring[base + 5]]))
+            span.events.append((ring[base],) + sites[ring[base + 2]])
         self._mat_next = end
 
     # ------------------------------------------------------------------

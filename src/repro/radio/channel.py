@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.obs.spans import probe_ax25
 from repro.sim.clock import MS
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
@@ -221,7 +220,7 @@ class RadioChannel:
                             bytes=len(payload), airtime=airtime)
         recorder = self.tracer.flight if self.tracer is not None else None
         if recorder is not None:
-            probe = probe_ax25(payload)
+            probe = recorder.probe(payload)
             if probe is not None:
                 recorder.enter_key(probe[1], "radio.tx", sender.name)
         self.sim.at(tx.end, self._complete_transmission, tx,
@@ -282,7 +281,7 @@ class RadioChannel:
                                 "flow burst unkeyed")
             return
         recorder = self.tracer.flight if self.tracer is not None else None
-        probe = probe_ax25(tx.payload) if recorder is not None else None
+        probe = recorder.probe(tx.payload) if recorder is not None else None
         for port in self.ports.values():
             # Losses are span-relevant only at the addressed station:
             # everyone hears everything on the shared channel, but only

@@ -98,7 +98,6 @@ class Simulator:
         self._events_executed = 0
         #: Optional SimProfiler (repro.obs.profile); like tracer.flight,
         #: a single attribute that keeps the off-cost to one None test.
-        #: :meth:`run` reads it once per call, so attach it before running.
         self.profiler = None
 
     # ------------------------------------------------------------------
@@ -286,7 +285,6 @@ class Simulator:
         self._running = True
         queue = self._queue
         heappop = heapq.heappop
-        profiler = self.profiler
         # Sentinels instead of two ``is not None`` tests per event.  An
         # infinite horizon compares exactly with int times, and a budget
         # of 0 or below runs nothing because the test is ``<``.
@@ -304,11 +302,11 @@ class Simulator:
                 heappop(queue)
                 self._now = time
                 executed += 1
-                if profiler is not None:
-                    profiler.count(event)
+                self._events_executed += 1
+                if self.profiler is not None:
+                    self.profiler.count(event)
                 event.fn(*event.args, **event.kwargs)
         finally:
-            self._events_executed += executed
             self._running = False
         if until is not None and self._now < until:
             self._now = until

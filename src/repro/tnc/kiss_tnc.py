@@ -25,7 +25,6 @@ from typing import Optional
 from repro.ax25.address import AX25Address
 from repro.kiss import commands
 from repro.kiss.framing import KissDeframer, frame as kiss_frame
-from repro.obs.spans import probe_ax25
 from repro.radio.channel import RadioChannel
 from repro.radio.csma import CsmaParameters
 from repro.radio.modem import ModemProfile
@@ -137,7 +136,7 @@ class KissTnc:
                 if recorder is not None and command == commands.CMD_DATA:
                     # Origin-side wedge: our own outbound frame died here,
                     # so this is an unambiguous terminal.
-                    probe = probe_ax25(payload)
+                    probe = recorder.probe(payload)
                     if probe is not None:
                         recorder.drop_key(probe[1], "tnc.tx", self.name,
                                           "tnc_wedged")
@@ -152,7 +151,7 @@ class KissTnc:
             self.frames_to_air += 1
             recorder = self._obs()
             if recorder is not None:
-                probe = probe_ax25(payload)
+                probe = recorder.probe(payload)
                 if probe is not None:
                     recorder.enter_key(probe[1], "tnc.tx", self.name)
             self.station.send_frame(payload)
@@ -195,7 +194,7 @@ class KissTnc:
                 # RX-side wedge: other stations also heard this frame, so
                 # only the intended recipient records the (observational)
                 # loss; finalize settles it if nothing better happened.
-                probe = probe_ax25(payload)
+                probe = recorder.probe(payload)
                 if probe is not None and probe[0] == self._span_target():
                     recorder.lost_key(probe[1], "tnc.up", self.name,
                                       "tnc_wedged")
@@ -207,7 +206,7 @@ class KissTnc:
         self.frames_to_host += 1
         recorder = self._obs()
         if recorder is not None:
-            probe = probe_ax25(payload)
+            probe = recorder.probe(payload)
             if probe is not None and probe[0] == self._span_target():
                 recorder.enter_key(probe[1], "tnc.up", self.name)
         record = kiss_frame(commands.type_byte(commands.CMD_DATA), payload)

@@ -143,6 +143,26 @@ def test_probe_ax25_reads_destination_and_flow_key():
     assert probe_ax25(b"\x01\x02") is None
 
 
+def test_recorder_probe_remembers_the_last_frame_only():
+    from repro.sim.engine import Simulator
+    from repro.sim.trace import Tracer
+
+    recorder = FlightRecorder(Tracer(Simulator()))
+    ip_frame = AX25Frame(
+        destination=AX25Address("KB7DZ", ssid=2), source=AX25Address("N7AKR"),
+        path=AX25Path(), frame_type=FrameType.UI, pid=PID_ARPA_IP,
+        info=_ip_bytes("44.24.0.28", ident=42)).encode()
+    text_frame = AX25Frame(
+        destination=AX25Address("KB7DZ"), source=AX25Address("N7AKR"),
+        path=AX25Path(), frame_type=FrameType.UI, pid=PID_NO_L3,
+        info=b"hello").encode()
+    first = recorder.probe(ip_frame)
+    assert first == probe_ax25(ip_frame)
+    assert recorder.probe(ip_frame) is first
+    assert recorder.probe(text_frame) is None
+    assert recorder.probe(ip_frame) == first
+
+
 # ----------------------------------------------------------------------
 # end-to-end spans
 # ----------------------------------------------------------------------
@@ -395,3 +415,20 @@ def test_profiler_attributes_events_to_layers():
     assert profiler.metrics() == {"profile_events": 4.0,
                                   "profile_sites": 2.0}
     assert "obs;instruments" in profiler.render_flame()
+
+
+def test_events_recorded_counts_stored_and_truncated_sightings():
+    from repro.sim.engine import Simulator
+    from repro.sim.trace import Tracer
+
+    recorder = FlightRecorder(Tracer(Simulator()), max_events_per_packet=2)
+    datagram = IPv4Datagram(
+        source=IPv4Address.parse("44.24.0.28"),
+        destination=IPv4Address.parse("44.24.0.5"),
+        protocol=17, identification=9, ttl=15, payload=b"x")
+    recorder.born_datagram("sta0", datagram)
+    key = (IPv4Address.parse("44.24.0.28").value, 9)
+    for _ in range(3):
+        recorder.enter_key(key, "radio.tx", "sta0")
+    summary = recorder.summary()
+    assert (summary["events_recorded"], summary["events_truncated"]) == (4, 2)

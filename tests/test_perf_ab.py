@@ -77,16 +77,20 @@ def runs_of(*rates, rtt=5.5):
     return [perfab.parse_run(canned(rate, rtt=rtt)) for rate in rates]
 
 
+BASE_RATES = (100, 104, 96, 102, 98, 100, 104, 96, 102, 98)
+CHANGE_RATES = (150, 149, 152, 148, 151, 150, 149, 152, 148, 151)
+
+
 def test_rows_report_medians_quartiles_ratio_and_wins():
-    base = runs_of(100, 104, 96, 102, 98)
-    change = runs_of(150, 149, 152, 148, 151)
+    base = runs_of(*BASE_RATES)
+    change = runs_of(*CHANGE_RATES)
     rows = {row.name: row for row in perfab.metric_rows(base, change, DIRECTIONS)}
     rate = rows["station_sim_s_per_wall_s"]
     assert rate.base_median == 100 and rate.change_median == 150
     assert rate.base_quartiles == (98, 102)
     assert rate.change_quartiles == (149, 151)
     assert rate.median_ratio == 1.5
-    assert (rate.wins, rate.losses, rate.pairs) == (5, 0, 5)
+    assert (rate.wins, rate.losses, rate.pairs) == (10, 0, perfab.PAIRS)
     assert rate.verdict == "better"
     rtt = rows["ping_rtt_p50_s"]
     assert (rtt.wins, rtt.losses, rtt.verdict, rtt.median_ratio) == \
@@ -94,23 +98,36 @@ def test_rows_report_medians_quartiles_ratio_and_wins():
 
 
 def test_verdict_needs_nine_tenths_of_the_pairs():
-    base = runs_of(100, 104, 96, 102, 98)
-    one_loss = runs_of(150, 90, 152, 148, 151)  # pair 1: 90 < 104
+    base = runs_of(*BASE_RATES)
+    one_loss = runs_of(150, 90, *CHANGE_RATES[2:])  # pair 1: 90 < 104
     (row, _rtt) = perfab.metric_rows(base, one_loss, DIRECTIONS)
-    assert (row.wins, row.losses) == (4, 1)
+    assert (row.wins, row.losses) == (9, 1)
+    assert row.verdict == "better"
+    two_losses = runs_of(150, 90, 90, *CHANGE_RATES[3:])
+    (row, _rtt) = perfab.metric_rows(base, two_losses, DIRECTIONS)
+    assert (row.wins, row.losses) == (8, 2)
+    assert row.verdict == "noise"
+
+
+def test_verdict_needs_ten_pairs():
+    (row, _rtt) = perfab.metric_rows(runs_of(*BASE_RATES[:9]),
+                                     runs_of(*CHANGE_RATES[:9]), DIRECTIONS)
+    assert (row.wins, row.pairs) == (9, 9)
+    assert row.verdict == "noise"
+    (row, _rtt) = perfab.metric_rows(runs_of(100), runs_of(101), DIRECTIONS)
     assert row.verdict == "noise"
 
 
 def test_verdict_needs_more_than_the_base_quartile_spread():
-    base = runs_of(90, 100, 110)
-    within = runs_of(95, 105, 115)
+    base = runs_of(*(90, 100, 110) * 3, 100)
+    within = runs_of(*(95, 105, 115) * 3, 105)
     (row, _rtt) = perfab.metric_rows(base, within, DIRECTIONS)
-    assert row.wins == 3
+    assert row.wins == 10
     assert row.verdict == "noise"
-    slower = runs_of(60, 70, 80)
+    slower = runs_of(*(60, 70, 80) * 3, 70)
     (row, _rtt) = perfab.metric_rows(base, slower, DIRECTIONS)
     assert row.verdict == "worse"
-    higher_rtt = runs_of(100, 100, 100, rtt=9.0)
+    higher_rtt = runs_of(*(100,) * 10, rtt=9.0)
     rows = perfab.metric_rows(base, higher_rtt, DIRECTIONS)
     assert rows[1].verdict == "worse"  # lower is better for a latency
 
@@ -172,7 +189,7 @@ def test_differing_benchmark_refuses_before_any_run(tmp_path, capsys, monkeypatc
         (tmp_path / name / "BENCHMARK.json").write_text("{}")
     monkeypatch.setattr(perfab, "compile_tree", lambda root: 1 / 0)
     args = argparse.Namespace(against="HEAD~1", workload="soak_per_char",
-                              seed=0, pairs=1)
+                              seed=0)
     code = perfab._compare({BASE: tmp_path / "base",
                             CHANGE: tmp_path / "change"}, args)
     assert code == 2

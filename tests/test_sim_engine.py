@@ -294,3 +294,30 @@ def test_exploration_hooks_skip_cancelled_entries(sim):
     assert not sim.is_queued(second)
     assert sim.head_events() == [later]
     assert sim.pending_events() == [later]
+
+
+def test_run_keeps_counters_current_during_dispatch():
+    """``events_executed`` and a profiler attached mid-run see every event
+    as it is dispatched, as in ``step`` and ``step_event``."""
+    sim = Simulator()
+    seen = []
+
+    class Counting:
+        def __init__(self):
+            self.events = 0
+
+        def count(self, _event):
+            self.events += 1
+
+    profiler = Counting()
+
+    def attach():
+        sim.profiler = profiler
+
+    for t in range(1, 6):
+        sim.at(t, lambda: seen.append(sim.events_executed))
+    sim.at(2, attach)
+    sim.run()
+    assert seen == [1, 2, 4, 5, 6]
+    assert profiler.events == 3  # the three events after the attach
+    assert sim.events_executed == 6
